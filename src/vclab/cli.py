@@ -9,11 +9,13 @@ verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import generators as gens
-from .errors import BudgetExceededError, VcLabError
+from .errors import BudgetExceededError, ShapeError, VcLabError
 from .relations import BiRelation, FormulaSet, dual_shatter, system_of
 from .setsystem import (
     SetSystem,
@@ -37,12 +39,33 @@ def _write_output(data: dict, out):
         sys.stdout.write(text)
 
 
+def _user_input(parse):
+    """Report a ValueError (or a zero denominator) met by ``parse`` as a
+    usage error; only in the load and parse layer does it mean bad input
+    rather than a bug."""
+
+    @functools.wraps(parse)
+    def wrapped(spec):
+        try:
+            return parse(spec)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ShapeError(f"{spec!r}: {exc}") from exc
+
+    return wrapped
+
+
+@_user_input
 def _parse_coords(spec: str):
     pts = []
     for chunk in spec.split(";"):
         x, y = chunk.split(",")
-        pts.append((x.strip(), y.strip()))
+        pts.append((Fraction(x), Fraction(y)))
     return pts
+
+
+@_user_input
+def _parse_divisors(spec: str):
+    return [int(d) for d in spec.split(",")]
 
 
 def cmd_gen(args) -> int:
@@ -54,12 +77,9 @@ def cmd_gen(args) -> int:
     elif fam == "halfspaces":
         obj = gens.gen_halfspaces(_parse_coords(args.coords)).to_json()
     elif fam == "cosets":
-        divisors = [int(d) for d in args.divisors.split(",")]
-        obj = gens.gen_cosets_zn(args.n, divisors).to_json()
+        obj = gens.gen_cosets_zn(args.n, _parse_divisors(args.divisors)).to_json()
     elif fam == "subgroups":
-        divisors = (
-            [int(d) for d in args.divisors.split(",")] if args.divisors else None
-        )
+        divisors = _parse_divisors(args.divisors) if args.divisors else None
         obj = gens.gen_subgroups_zn(args.n, divisors).to_json()
     elif fam == "progressions":
         obj = gens.gen_arithmetic_progressions(args.window, args.max_modulus).to_json()
@@ -76,9 +96,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@_user_input
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ShapeError(f"{path!r}: expected a JSON object")
+    return data
 
 
 def _load_system(path) -> SetSystem:
@@ -91,34 +115,24 @@ def _load_system(path) -> SetSystem:
 def cmd_invariants(args) -> int:
     system = _load_system(args.input)
     report = {"member_count": len(system.members), "exactness": {}}
-    try:
-        report["vc_dim"] = vc_dimension(system, budget=args.budget)
-        report["exactness"]["vc_dim"] = "exact"
-    except BudgetExceededError as exc:
-        report["vc_dim"] = exc.lower_bound
-        report["exactness"]["vc_dim"] = "skipped"
-    try:
-        report["ind_dim"] = independence_dimension(system, budget=args.budget)
-        report["exactness"]["ind_dim"] = "exact"
-    except BudgetExceededError as exc:
-        report["ind_dim"] = exc.lower_bound
-        report["exactness"]["ind_dim"] = "skipped"
-    try:
-        report["breadth"] = breadth(system, budget=args.budget)
-        report["exactness"]["breadth"] = "exact"
-    except BudgetExceededError as exc:
-        report["breadth"] = exc.lower_bound
-        report["exactness"]["breadth"] = "skipped"
-    try:
-        report["helly"] = helly_number(system)
-        report["exactness"]["helly"] = "exact"
-    except BudgetExceededError:
-        report["helly"] = None
-        report["exactness"]["helly"] = "skipped"
+    for key, fn in (
+        ("vc_dim", lambda: vc_dimension(system, budget=args.budget)),
+        ("ind_dim", lambda: independence_dimension(system, budget=args.budget)),
+        ("breadth", lambda: breadth(system, budget=args.budget)),
+        ("helly", lambda: helly_number(system)),
+    ):
+        try:
+            report[key] = fn()
+            report["exactness"][key] = "exact"
+        except BudgetExceededError as exc:
+            # helly_number certifies no lower bound: it reports null
+            report[key] = exc.lower_bound
+            report["exactness"][key] = "skipped"
     _write_output(report, args.out)
     return 0
 
 
+@_user_input
 def _parse_range(spec: str):
     if ".." in spec:
         lo, hi = spec.split("..")
@@ -258,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VcLabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (VcLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

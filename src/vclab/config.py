@@ -7,6 +7,8 @@ take an optional ``budget`` argument; ``None`` means "use the default".
 
 import os
 
+from .errors import RangeError
+
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -15,5 +17,8 @@ def resolve_budget(budget=None):
         return int(budget)
     env = os.environ.get("VCLAB_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise RangeError(f"VCLAB_BUDGET must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET

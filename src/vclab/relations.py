@@ -30,7 +30,7 @@ from .errors import (
 from .setsystem import (
     SetSystem,
     ShatterValue,
-    mask_from_indices,
+    json_field,
     mask_to_string,
     shatter_function,
     string_to_mask,
@@ -68,12 +68,15 @@ class BiRelation:
     def from_json(cls, data) -> "BiRelation":
         if isinstance(data, str):
             data = json.loads(data)
+        y_size = json_field(data, "y_size", int)
         rows = []
-        for s in data["rows"]:
-            if len(s) != data["y_size"]:
+        for s in json_field(data, "rows", list):
+            if not isinstance(s, str):
+                raise ShapeError(f"row {s!r} is not a bit string")
+            if len(s) != y_size:
                 raise ShapeError("row string width does not match y_size")
             rows.append(string_to_mask(s))
-        return cls.from_rows(data["x_size"], data["y_size"], rows)
+        return cls.from_rows(json_field(data, "x_size", int), y_size, rows)
 
     def to_json(self) -> dict:
         return {
@@ -146,7 +149,9 @@ class FormulaSet:
     def from_json(cls, data) -> "FormulaSet":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls.of(BiRelation.from_json(r) for r in data["relations"])
+        return cls.of(
+            BiRelation.from_json(r) for r in json_field(data, "relations", list)
+        )
 
     def to_json(self) -> dict:
         return {"relations": [r.to_json() for r in self.relations]}
@@ -210,9 +215,10 @@ def ladder_dimension(rel: BiRelation, budget=None) -> int:
     """Largest n admitting a_1..a_n, b_1..b_n with (a_i, b_j) related
     iff i <= j.  Depth-first extension with memoized states; the pair of
     used-index sets determines all future constraints, so revisits are
-    skipped.
+    skipped.  The sets are bit masks, which keeps the memo small.
     """
     budget = resolve_budget(budget)
+    cols = rel.columns()
     best = 0
     seen = set()
     work = 0
@@ -220,33 +226,25 @@ def ladder_dimension(rel: BiRelation, budget=None) -> int:
     def extend(a_used, b_used, depth):
         nonlocal best, work
         best = max(best, depth)
-        state = (a_used, b_used)
-        if state in seen:
+        if (a_used, b_used) in seen:
             return
-        seen.add(state)
-        bmask_used = mask_from_indices(b_used)
+        seen.add((a_used, b_used))
         for a in range(rel.x_size):
-            if a in a_used:
-                continue
             # the new a must be unrelated to every chosen b
-            if rel.rows[a] & bmask_used:
+            if (a_used >> a) & 1 or rel.rows[a] & b_used:
                 continue
             for b in range(rel.y_size):
-                if b in b_used:
-                    continue
                 # the new b must be related to every chosen a and to a
-                if not rel.holds(a, b):
-                    continue
-                if any(not (rel.rows[ai] >> b) & 1 for ai in a_used):
+                if (b_used >> b) & 1 or (a_used | 1 << a) & ~cols[b]:
                     continue
                 work += 1
                 if work > budget:
                     raise BudgetExceededError(
                         "ladder search exceeded budget", lower_bound=best
                     )
-                extend(a_used | {a}, b_used | {b}, depth + 1)
+                extend(a_used | 1 << a, b_used | 1 << b, depth + 1)
 
-    extend(frozenset(), frozenset(), 0)
+    extend(0, 0, 0)
     return best
 
 

@@ -45,6 +45,19 @@ def string_to_mask(bits: str) -> int:
     return mask
 
 
+def json_field(data, key: str, kind: type):
+    """``data[key]`` of a parsed JSON object, checked to be a ``kind``; an
+    int field rejects booleans and floats such as 3.0."""
+    if not isinstance(data, dict):
+        raise ShapeError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ShapeError(f"missing field {key!r}")
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ShapeError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def mask_from_indices(indices) -> int:
     mask = 0
     for i in indices:
@@ -93,6 +106,8 @@ class SetSystem:
     def from_strings(cls, ground_size: int, strings) -> "SetSystem":
         masks = []
         for s in strings:
+            if not isinstance(s, str):
+                raise ShapeError(f"member {s!r} is not a bit string")
             if len(s) != ground_size:
                 raise ShapeError(
                     f"member string of length {len(s)}, expected {ground_size}"
@@ -104,16 +119,15 @@ class SetSystem:
     def from_json(cls, data) -> "SetSystem":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls.from_strings(data["ground_size"], data["members"])
+        return cls.from_strings(
+            json_field(data, "ground_size", int), json_field(data, "members", list)
+        )
 
     def to_json(self) -> dict:
         return {
             "ground_size": self.ground_size,
             "members": [mask_to_string(m, self.ground_size) for m in self.members],
         }
-
-    def member_sets(self):
-        return [frozenset(indices_of_mask(m)) for m in self.members]
 
     def __len__(self):
         return len(self.members)
@@ -217,110 +231,87 @@ def sauer_shelah_bound(n: int, d: int) -> int:
     return sum(math.comb(n, i) for i in range(d + 1))
 
 
-def _is_shattered(system: SetSystem, amask: int, size: int) -> bool:
-    return trace_count(system, amask) == 1 << size
+def _level_search(universe, root, extend, cap, budget, what) -> int:
+    """Size of a largest set in a downward-closed family over
+    {0..universe-1}, found level by level and stopped at ``cap``.
+
+    Levels map set masks to states; ``root`` is the empty set's state.  A
+    candidate ``cand = parent | 1 << x`` (x above parent's elements) is
+    tested only when all its immediate subsets are in the last level, by
+    ``extend(cand, parent_state, other_states)``: the candidate's state, or
+    None when it is not in the family.  One test costs one budget unit; on
+    running out, BudgetExceededError carries the last full level as bound.
+    """
+    budget = resolve_budget(budget)
+    work = 0
+    level = {0: root}
+    d = 0
+    while d < cap:
+        nxt = {}
+        for parent, state in level.items():
+            for x in range(parent.bit_length(), universe):
+                cand = parent | 1 << x
+                others = []
+                rest = parent
+                while rest:
+                    low = rest & -rest
+                    other = level.get(cand ^ low)
+                    if other is None:
+                        break
+                    others.append(other)
+                    rest ^= low
+                if rest:
+                    continue
+                work += 1
+                if work > budget:
+                    raise BudgetExceededError(
+                        f"{what} level search exceeded budget", lower_bound=d
+                    )
+                new = extend(cand, state, others)
+                if new is not None:
+                    nxt[cand] = new
+        if not nxt:
+            break
+        level = nxt
+        d += 1
+    return d
 
 
 def vc_dimension(system: SetSystem, budget=None) -> int:
     """Largest size of a shattered subset; -1 for the empty family.
 
-    Level search over the downward-closed family of shattered sets:
-    a candidate at level k+1 is only examined when all its k-subsets
-    were shattered.
+    Level search over the downward-closed family of shattered sets.  A
+    shattered d-set has 2^d distinct traces, so d <= floor(log2 |S|).
     """
     if not system.members:
         return -1
-    budget = resolve_budget(budget)
-    n = system.ground_size
-    work = 0
-    level = {(): 0}  # shattered subsets as sorted index tuples -> mask
-    d = 0
-    while True:
-        nxt = {}
-        for combo, amask in level.items():
-            start = combo[-1] + 1 if combo else 0
-            for x in range(start, n):
-                cand = combo + (x,)
-                # all immediate subsets must have been shattered
-                if len(cand) > 1 and any(
-                    cand[:i] + cand[i + 1 :] not in level for i in range(len(cand) - 1)
-                ):
-                    continue
-                work += 1
-                if work > budget:
-                    raise BudgetExceededError(
-                        "VC dimension level search exceeded budget",
-                        lower_bound=d,
-                    )
-                cmask = amask | (1 << x)
-                if _is_shattered(system, cmask, len(cand)):
-                    nxt[cand] = cmask
-        if not nxt:
-            return d
-        level = nxt
-        d += 1
+
+    def shattered(cand, _state, _others):
+        return True if trace_count(system, cand) == 1 << cand.bit_count() else None
+
+    cap = len(system.members).bit_length() - 1
+    return _level_search(system.ground_size, True, shattered, cap, budget, "VC")
 
 
 def independence_dimension(system: SetSystem, budget=None) -> int:
     """Largest n such that some n members are independent: all 2^n atom
     patterns (intersections of members and complements) are nonempty.
 
-    Independent subfamilies are downward closed, so the same level search
-    as for VC dimension applies, over member indices.  IND of the empty
-    family is 0.
+    Members are independent exactly when the dual system, with one member
+    per element x recording which members contain x, shatters them; so
+    IND(S) = VC(S*).  IND of the empty family is 0.
     """
     m = len(system.members)
-    if m == 0:
-        return 0
-    budget = resolve_budget(budget)
-    n = system.ground_size
     # signature of element x: bit j set iff x belongs to member j
     sigs = []
-    for x in range(n):
+    for x in range(system.ground_size):
         s = 0
         for j, mem in enumerate(system.members):
             if (mem >> x) & 1:
                 s |= 1 << j
         sigs.append(s)
-    work = 0
-
-    def independent(member_idx):
-        k = len(member_idx)
-        seen = set()
-        for s in sigs:
-            proj = 0
-            for pos, j in enumerate(member_idx):
-                if (s >> j) & 1:
-                    proj |= 1 << pos
-            seen.add(proj)
-            if len(seen) == 1 << k:
-                return True
-        return False
-
-    level = [()]
-    d = 0
-    while True:
-        prev = set(level)
-        nxt = []
-        for combo in level:
-            start = combo[-1] + 1 if combo else 0
-            for j in range(start, m):
-                cand = combo + (j,)
-                if len(cand) > 1 and any(
-                    cand[:i] + cand[i + 1 :] not in prev for i in range(len(cand) - 1)
-                ):
-                    continue
-                work += 1
-                if work > budget:
-                    raise BudgetExceededError(
-                        "independence level search exceeded budget", lower_bound=d
-                    )
-                if independent(cand):
-                    nxt.append(cand)
-        if not nxt:
-            return d
-        level = nxt
-        d += 1
+    # with ground size 0 the dual family is empty: VC -1, but IND 0
+    return max(0, vc_dimension(SetSystem.from_masks(m, sigs), budget))
 
 
 def breadth(system: SetSystem, budget=None) -> Optional[int]:
@@ -331,55 +322,32 @@ def breadth(system: SetSystem, budget=None) -> Optional[int]:
     maximum size of an irredundant subfamily with nonempty intersection
     (irredundant: dropping any one member strictly enlarges the
     intersection), and irredundant subfamilies are downward closed, which
-    again permits a level search.  A family with no nonempty intersections
-    of two or more members has breadth 1.
+    permits a level search.  Such a subfamily has pairwise distinct witness
+    elements outside its intersection, so its size is at most n - 1.  A
+    family with no nonempty intersections of two or more members has
+    breadth 1.
     """
     members = system.members
-    m = len(members)
-    if m == 0:
+    if not members:
         return None
-    budget = resolve_budget(budget)
-    full = (1 << system.ground_size) - 1
-    work = 0
 
-    def irredundant_nonempty(idx):
-        inter = full
-        for j in idx:
-            inter &= members[j]
-        if inter == 0:
-            return False
-        for drop in range(len(idx)):
-            rest = full
-            for pos, j in enumerate(idx):
-                if pos != drop:
-                    rest &= members[j]
-            if rest == inter:
-                return False
-        return True
+    # the state of a subfamily is its intersection; dropping the newest
+    # member gives the parent's, dropping any other gives a sibling's
+    def irredundant(cand, inter, others):
+        new = inter & members[cand.bit_length() - 1]
+        if new == 0 or new == inter or new in others:
+            return None
+        return new
 
-    level = [(j,) for j in range(m) if members[j] != 0 and members[j] != full]
-    best = 1
-    while level:
-        prev = set(level)
-        nxt = []
-        for combo in level:
-            for j in range(combo[-1] + 1, m):
-                cand = combo + (j,)
-                if any(
-                    cand[:i] + cand[i + 1 :] not in prev for i in range(len(cand) - 1)
-                ):
-                    continue
-                work += 1
-                if work > budget:
-                    raise BudgetExceededError(
-                        "breadth level search exceeded budget", lower_bound=best
-                    )
-                if irredundant_nonempty(cand):
-                    nxt.append(cand)
-        if nxt:
-            best = max(best, len(nxt[0]))
-        level = nxt
-    return best
+    n = system.ground_size
+    try:
+        d = _level_search(
+            len(members), (1 << n) - 1, irredundant, n - 1, budget, "breadth"
+        )
+    except BudgetExceededError as exc:
+        exc.lower_bound = max(1, exc.lower_bound)
+        raise
+    return max(1, d)
 
 
 def helly_number(system: SetSystem, cap: int = 20) -> int:
@@ -398,8 +366,6 @@ def helly_number(system: SetSystem, cap: int = 20) -> int:
         )
     full = (1 << system.ground_size) - 1
     best = 1
-    if any(mem == 0 for mem in members):
-        best = 1  # a single empty member is a minimal inconsistent subfamily
 
     # Depth-first over subfamilies with nonempty intersection; each
     # extension that kills the intersection yields an inconsistent
@@ -453,7 +419,6 @@ class TraceWitness(NamedTuple):
 def _pattern_sets(pattern: TracePattern, base: tuple):
     """The pattern's sets as masks over the chosen base tuple, in a fixed
     order (chain by size, star/costar by excluded/included element)."""
-    k = pattern.size
     amask = mask_from_indices(base)
     if pattern.kind == "chain":
         out = []

@@ -1,0 +1,100 @@
+"""Brute-force reference definitions of VC dimension, independence
+dimension and breadth, for ground sets of at most 6 elements, and of
+ladder dimension for small relations.
+
+Each follows the definition directly and shares no code with the searches
+in ``vclab``, so that the fast paths can be diffed against them.
+"""
+
+import itertools
+
+MAX_GROUND = 6
+
+
+def _check_small(system):
+    if system.ground_size > MAX_GROUND:
+        raise ValueError(f"oracles take ground sets of at most {MAX_GROUND}")
+
+
+def vc_oracle(system):
+    """Largest |A| over the whole power set with |S cap A| = 2^|A|; -1 for
+    the empty family."""
+    _check_small(system)
+    if not system.members:
+        return -1
+    best = 0
+    for a in range(1 << system.ground_size):
+        size = bin(a).count("1")
+        if size > best and len({m & a for m in system.members}) == 1 << size:
+            best = size
+    return best
+
+
+def ind_oracle(system):
+    """Largest k such that some k members have all 2^k atoms (intersections
+    of members and complements) nonempty; 0 when no member qualifies."""
+    _check_small(system)
+    full = (1 << system.ground_size) - 1
+    best = 0
+    for k in range(1, len(system.members) + 1):
+        for family in itertools.combinations(system.members, k):
+            atoms_nonempty = True
+            for signs in itertools.product((True, False), repeat=k):
+                atom = full
+                for mem, inside in zip(family, signs):
+                    atom &= mem if inside else full & ~mem
+                if atom == 0:
+                    atoms_nonempty = False
+                    break
+            if atoms_nonempty:
+                best = k
+    return best
+
+
+def _intersection(family, full):
+    out = full
+    for mem in family:
+        out &= mem
+    return out
+
+
+def breadth_oracle(system):
+    """Smallest d > 0 such that every nonempty intersection of more than d
+    members equals the intersection of d of them; None for the empty
+    family."""
+    _check_small(system)
+    members = system.members
+    if not members:
+        return None
+    full = (1 << system.ground_size) - 1
+    for d in range(1, len(members)):
+        holds = True
+        for size in range(d + 1, len(members) + 1):
+            for family in itertools.combinations(members, size):
+                inter = _intersection(family, full)
+                if inter and not any(
+                    _intersection(sub, full) == inter
+                    for sub in itertools.combinations(family, d)
+                ):
+                    holds = False
+                    break
+            if not holds:
+                break
+        if holds:
+            return d
+    return len(members)  # no subfamily has more than |S| members
+
+
+def ladder_oracle(rel):
+    """Largest n with distinct a_1..a_n and distinct b_1..b_n such that
+    (a_i, b_j) is related iff i <= j, over all ordered choices."""
+    for n in range(min(rel.x_size, rel.y_size), 0, -1):
+        for a_seq in itertools.permutations(range(rel.x_size), n):
+            for b_seq in itertools.permutations(range(rel.y_size), n):
+                if all(
+                    rel.holds(a, b) == (i <= j)
+                    for i, a in enumerate(a_seq)
+                    for j, b in enumerate(b_seq)
+                ):
+                    return n
+    return 0

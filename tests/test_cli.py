@@ -1,6 +1,8 @@
 import json
 
-from vclab import SetSystem
+import pytest
+
+from vclab import SetSystem, cli
 from vclab.cli import main
 from vclab.generators import gen_intervals, gen_subsets_at_most_d
 
@@ -155,3 +157,64 @@ def test_determinism(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["shatter", path, "--t", "1..6", "--mode", "sample"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_invariants_output_is_pinned(tmp_path, capsys):
+    path = write_json(tmp_path, "sys.json", gen_intervals(6, 1).to_json())
+    assert main(["invariants", path]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "member_count": 22,\n  "exactness": {\n    "vc_dim": "exact",\n'
+        '    "ind_dim": "exact",\n    "breadth": "exact",\n    "helly": "skipped"\n'
+        '  },\n  "vc_dim": 2,\n  "ind_dim": 2,\n  "breadth": 2,\n  "helly": null\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"ground_size": 3.0, "members": ["110"]},
+        {"ground_size": True, "members": ["1"]},
+        {"ground_size": 3},
+        {"ground_size": 3, "members": [110]},
+        {"x_size": 2, "y_size": 2.0, "rows": ["10", "01"]},
+        {"x_size": "2", "y_size": 2, "rows": ["10", "01"]},
+        {"x_size": 2, "y_size": 2, "rows": "1001"},
+        ["110"],
+    ],
+)
+def test_mistyped_json_is_a_usage_error(tmp_path, capsys, obj):
+    path = write_json(tmp_path, "bad.json", obj)
+    assert main(["invariants", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shatter", "{path}", "--t", "1..x"],
+        ["gen", "--family", "halfspaces", "--coords", "0,0;1/0,1"],
+        ["gen", "--family", "cosets", "--n", "6", "--divisors", "2,x"],
+    ],
+)
+def test_malformed_option_is_a_usage_error(tmp_path, capsys, argv):
+    path = write_json(tmp_path, "sys.json", gen_intervals(4, 1).to_json())
+    assert main([a.format(path=path) for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_budget_variable_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "sys.json", gen_intervals(4, 1).to_json())
+    monkeypatch.setenv("VCLAB_BUDGET", "lots")
+    assert main(["invariants", path]) == 2
+    assert "VCLAB_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [KeyError, ValueError])
+def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch, exc):
+    def broken(system, budget=None):
+        raise exc("bug")
+
+    monkeypatch.setattr(cli, "vc_dimension", broken)
+    path = write_json(tmp_path, "sys.json", gen_intervals(4, 1).to_json())
+    with pytest.raises(exc):
+        main(["invariants", path])
