@@ -34,12 +34,10 @@ from .relations import (
     boolean_combine,
     count_types,
     dual_shatter,
-    dual_system,
     dualize,
     ladder_dimension,
     lift_parameter,
     power_delta,
-    pullback,
     relation_of,
     shelah_encode,
     system_of,
@@ -57,8 +55,10 @@ from .setsystem import (
     breadth,
     check_breadth_duality,
     contains_trace,
+    dual_system,
     helly_number,
     independence_dimension,
+    pullback,
     sauer_shelah_bound,
     shatter_function,
     trace,

@@ -68,31 +68,41 @@ def _parse_divisors(spec: str):
     return [int(d) for d in spec.split(",")]
 
 
+# each family: the options it needs, and how to build it from them
+FAMILIES = {
+    "subsets": (("n", "d"), lambda a: gens.gen_subsets_at_most_d(a.n, a.d)),
+    "intervals": (("points", "k"), lambda a: gens.gen_intervals(a.points, a.k)),
+    "halfspaces": (
+        ("coords",),
+        lambda a: gens.gen_halfspaces(_parse_coords(a.coords)),
+    ),
+    "cosets": (
+        ("n", "divisors"),
+        lambda a: gens.gen_cosets_zn(a.n, _parse_divisors(a.divisors)),
+    ),
+    "subgroups": (
+        ("n",),
+        lambda a: gens.gen_subgroups_zn(
+            a.n, _parse_divisors(a.divisors) if a.divisors else None
+        ),
+    ),
+    "progressions": (
+        ("window", "max_modulus"),
+        lambda a: gens.gen_arithmetic_progressions(a.window, a.max_modulus),
+    ),
+    "pointline-fq": (("q",), lambda a: gens.gen_pointline_fq(a.q)),
+    "elekes": (("k",), lambda a: gens.gen_elekes_grid(a.k).incidence),
+    "hypercube": (("d",), lambda a: gens.gen_hypercube_edges(a.d)[1]),
+}
+
+
 def cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "subsets":
-        obj = gens.gen_subsets_at_most_d(args.n, args.d).to_json()
-    elif fam == "intervals":
-        obj = gens.gen_intervals(args.points, args.k).to_json()
-    elif fam == "halfspaces":
-        obj = gens.gen_halfspaces(_parse_coords(args.coords)).to_json()
-    elif fam == "cosets":
-        obj = gens.gen_cosets_zn(args.n, _parse_divisors(args.divisors)).to_json()
-    elif fam == "subgroups":
-        divisors = _parse_divisors(args.divisors) if args.divisors else None
-        obj = gens.gen_subgroups_zn(args.n, divisors).to_json()
-    elif fam == "progressions":
-        obj = gens.gen_arithmetic_progressions(args.window, args.max_modulus).to_json()
-    elif fam == "pointline-fq":
-        obj = gens.gen_pointline_fq(args.q).to_json()
-    elif fam == "elekes":
-        obj = gens.gen_elekes_grid(args.k).incidence.to_json()
-    elif fam == "hypercube":
-        _, system = gens.gen_hypercube_edges(args.d)
-        obj = system.to_json()
-    else:
-        raise VcLabError(f"unknown family {fam!r}")
-    _write_output(obj, args.out)
+    needed, build = FAMILIES[args.family]
+    for name in needed:
+        if getattr(args, name) is None:
+            option = "--" + name.replace("_", "-")
+            raise ShapeError(f"--family {args.family} needs {option}")
+    _write_output(build(args).to_json(), args.out)
     return 0
 
 
@@ -212,21 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a family and write it as JSON")
-    g.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "subsets",
-            "intervals",
-            "halfspaces",
-            "cosets",
-            "subgroups",
-            "progressions",
-            "pointline-fq",
-            "elekes",
-            "hypercube",
-        ],
-    )
+    g.add_argument("--family", required=True, choices=list(FAMILIES))
     g.add_argument("--n", type=int)
     g.add_argument("--d", type=int)
     g.add_argument("--k", type=int)

@@ -8,15 +8,15 @@ vectors over (relation, parameter) pairs.
 
 Also here: ladder dimension (the finite stability witness), pointwise
 Boolean combinations, the guarded-implication single-relation encoding of
-a formula set, the parameter-lift construction, the coordinate-power
-construction, and pullbacks of set systems along index maps.
+a formula set, the parameter-lift construction and the coordinate-power
+construction.  The dual system and pullbacks of set systems along index
+maps live in setsystem and are re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,13 +27,18 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .setsystem import (
+from .setsystem import (  # dual_system and pullback are re-exported
     SetSystem,
     ShatterValue,
+    dual_system,
     json_field,
+    mask_from_indices,
     mask_to_string,
+    max_traces,
+    pullback,
     shatter_function,
     string_to_mask,
+    transpose,
 )
 
 
@@ -91,15 +96,8 @@ class BiRelation:
     def count_pairs(self) -> int:
         return sum(bin(r).count("1") for r in self.rows)
 
-    def column(self, b: int) -> int:
-        col = 0
-        for a, r in enumerate(self.rows):
-            if (r >> b) & 1:
-                col |= 1 << a
-        return col
-
     def columns(self):
-        return [self.column(b) for b in range(self.y_size)]
+        return transpose(self.rows, self.y_size)
 
 
 def dualize(rel: BiRelation) -> BiRelation:
@@ -115,18 +113,8 @@ def system_of(rel: BiRelation) -> SetSystem:
 def relation_of(system: SetSystem) -> BiRelation:
     """The membership relation of a set system: (x, y) related iff
     element x belongs to member y.  system_of inverts it."""
-    rows = [0] * system.ground_size
-    for y, mem in enumerate(system.members):
-        for x in range(system.ground_size):
-            if (mem >> x) & 1:
-                rows[x] |= 1 << y
+    rows = transpose(system.members, system.ground_size)
     return BiRelation.from_rows(system.ground_size, len(system.members), rows)
-
-
-def dual_system(system: SetSystem) -> SetSystem:
-    """The set system of the dual relation: base = member indices, one
-    member per element of X recording which original members contain it."""
-    return system_of(dualize(relation_of(system)))
 
 
 @dataclass(frozen=True)
@@ -165,6 +153,18 @@ class FormulaSet:
         return self.relations[0].y_size
 
 
+def _stacked(delta: FormulaSet):
+    """Each x's rows of all relations side by side, relation k's row
+    shifted by k*y, and the spread that repeats a parameter mask once per
+    relation, so that ``row & A*spread`` is x's signature over A."""
+    y = delta.y_size
+    rows = [
+        sum(row << k * y for k, row in enumerate(xrows))
+        for xrows in zip(*(rel.rows for rel in delta.relations))
+    ]
+    return rows, sum(1 << k * y for k in range(len(delta.relations)))
+
+
 def count_types(delta: FormulaSet, params) -> int:
     """|S^Delta(B)|: the number of distinct truth-signature vectors over
     all (relation, parameter) pairs realized by elements of X."""
@@ -172,33 +172,17 @@ def count_types(delta: FormulaSet, params) -> int:
     for b in params:
         if not (0 <= b < delta.y_size):
             raise RangeError(f"parameter index {b} out of range")
-    seen = set()
-    for x in range(delta.x_size):
-        sig = 0
-        pos = 0
-        for rel in delta.relations:
-            row = rel.rows[x]
-            for b in params:
-                if (row >> b) & 1:
-                    sig |= 1 << pos
-                pos += 1
-        seen.add(sig)
-    return len(seen)
+    rows, spread = _stacked(delta)
+    a = mask_from_indices(params) * spread
+    return len({row & a for row in rows})
 
 
 def dual_shatter(delta: FormulaSet, t: int, budget=None) -> ShatterValue:
     """pi*_Delta(t): max of count_types over t-subsets of parameters."""
     if t < 0 or t > delta.y_size:
         raise RangeError(f"t={t} out of range 0..{delta.y_size}")
-    budget = resolve_budget(budget)
-    if math.comb(delta.y_size, t) > budget:
-        raise BudgetExceededError(
-            f"C({delta.y_size},{t}) exceeds the enumeration budget {budget}"
-        )
-    best = 0
-    for combo in itertools.combinations(range(delta.y_size), t):
-        best = max(best, count_types(delta, combo))
-    return ShatterValue(best, "exact")
+    rows, spread = _stacked(delta)
+    return ShatterValue(max_traces(rows, delta.y_size, t, budget, spread), "exact")
 
 
 def dual_shatter_relation(rel: BiRelation, t: int, budget=None) -> ShatterValue:
@@ -434,20 +418,3 @@ def power_delta(delta: FormulaSet, d: int, cap: int = 1_000_000) -> FormulaSet:
                 rows.append(rel.rows[tup[i]])
             relations.append(BiRelation.from_rows(total, delta.y_size, rows))
     return FormulaSet.of(relations)
-
-
-def pullback(system: SetSystem, f) -> SetSystem:
-    """The system on X' whose members are the f-preimages of the members,
-    for an index map f: X' -> X given as a sequence."""
-    f = list(f)
-    for img in f:
-        if not (0 <= img < system.ground_size):
-            raise RangeError(f"image index {img} out of range")
-    new_members = []
-    for m in system.members:
-        nm = 0
-        for xp, img in enumerate(f):
-            if (m >> img) & 1:
-                nm |= 1 << xp
-        new_members.append(nm)
-    return SetSystem.from_masks(len(f), new_members)

@@ -6,10 +6,12 @@ encodes whether element i belongs to the member.  After canonicalization
 members are pairwise distinct and sorted lexicographically as bit strings
 (character i of the string is bit i of the mask).
 
-Provided invariants: traces, the shatter function pi(t), VC dimension,
-the Sauer-Shelah binomial bound, independence dimension, breadth, Helly
-number, chain/star/costar trace patterns, and the breadth-duality check
-for lattices of sets.
+Provided invariants: traces and pullbacks, the dual system, the shatter
+function pi(t), VC dimension, the Sauer-Shelah binomial bound,
+independence dimension, breadth, Helly number, chain/star/costar trace
+patterns, and the breadth-duality check for lattices of sets.  The scan
+``max_traces`` counts traces for both pi and the dual pi*, and
+``transpose`` is the one bit-matrix transpose behind every dual.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
 
 
 def mask_to_string(mask: int, width: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(width))
+    return format(mask, f"0{width}b")[::-1] if width else ""
 
 
 def string_to_mask(bits: str) -> int:
@@ -146,28 +148,83 @@ def _coerce_subset_mask(system: SetSystem, subset) -> int:
     return mask
 
 
+def pullback(system: SetSystem, f) -> SetSystem:
+    """The system on X' whose members are the f-preimages of the members,
+    for an index map f: X' -> X given as a sequence."""
+    f = list(f)
+    for img in f:
+        if not (0 <= img < system.ground_size):
+            raise RangeError(f"image index {img} out of range")
+    new_members = []
+    for m in system.members:
+        nm = 0
+        for xp, img in enumerate(f):
+            if (m >> img) & 1:
+                nm |= 1 << xp
+        new_members.append(nm)
+    return SetSystem.from_masks(len(f), new_members)
+
+
 def trace(system: SetSystem, subset) -> SetSystem:
     """The system S cap A = {S cap A : S in S} on the restricted base set A.
 
     Elements of A are reindexed 0..|A|-1 in increasing original order.
     """
-    amask = _coerce_subset_mask(system, subset)
-    positions = indices_of_mask(amask)
-    width = len(positions)
-    compress = {p: j for j, p in enumerate(positions)}
-    new_members = []
-    for m in system.members:
-        cut = m & amask
-        nm = 0
-        for p in indices_of_mask(cut):
-            nm |= 1 << compress[p]
-        new_members.append(nm)
-    return SetSystem.from_masks(width, new_members)
+    return pullback(system, indices_of_mask(_coerce_subset_mask(system, subset)))
 
 
 def trace_count(system: SetSystem, subset_mask: int) -> int:
     """|S cap A| without building the restricted system."""
     return len({m & subset_mask for m in system.members})
+
+
+def transpose(masks, width: int) -> list:
+    """The columns of a bit matrix with one row per mask: bit j of
+    column x is bit x of masks[j], for x in 0..width-1."""
+    cols = [0] * width
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    return cols
+
+
+def dual_system(system: SetSystem) -> SetSystem:
+    """The set system of the dual relation: base = member indices, one
+    member per element of X recording which original members contain it."""
+    return SetSystem.from_masks(
+        len(system.members), transpose(system.members, system.ground_size)
+    )
+
+
+def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
+    """The largest number of distinct ``m & A*spread`` over the masks m,
+    for A ranging over the t-subsets of {0..n-1}.
+
+    With spread 1 this is pi(t) of the family; a spread of several bits
+    repeats A once per bit, so that A picks the same columns out of each
+    block of a stacked row.  The scan enumerates all C(n,t) subsets and
+    errors out when that exceeds the budget.  It stops early at the most
+    there can be: the number of distinct masks, or 2^(t * bits of spread).
+    """
+    budget = resolve_budget(budget)
+    if math.comb(n, t) > budget:
+        raise BudgetExceededError(
+            f"C({n},{t}) exceeds the enumeration budget {budget}",
+            lower_bound=None,
+        )
+    masks = list(dict.fromkeys(masks))  # distinct, in their first order
+    cap = min(len(masks), 1 << t * spread.bit_count())
+    best = 0
+    for combo in itertools.combinations(range(n), t):
+        a = mask_from_indices(combo) * spread
+        c = len({m & a for m in masks})
+        if c > best:
+            best = c
+            if best == cap:
+                break
+    return best
 
 
 class ShatterValue(NamedTuple):
@@ -197,22 +254,7 @@ def shatter_function(
     if t == 0:
         return ShatterValue(1, "exact")
     if mode == "exact":
-        budget = resolve_budget(budget)
-        if math.comb(n, t) > budget:
-            raise BudgetExceededError(
-                f"C({n},{t}) exceeds the enumeration budget {budget}",
-                lower_bound=None,
-            )
-        best = 0
-        cap = len(system.members)
-        for combo in itertools.combinations(range(n), t):
-            a = mask_from_indices(combo)
-            c = trace_count(system, a)
-            if c > best:
-                best = c
-                if best == cap or best == 1 << t:
-                    break
-        return ShatterValue(best, "exact")
+        return ShatterValue(max_traces(system.members, n, t, budget), "exact")
     if mode == "sample":
         rng = random.Random(seed)
         best = 0
@@ -301,17 +343,8 @@ def independence_dimension(system: SetSystem, budget=None) -> int:
     per element x recording which members contain x, shatters them; so
     IND(S) = VC(S*).  IND of the empty family is 0.
     """
-    m = len(system.members)
-    # signature of element x: bit j set iff x belongs to member j
-    sigs = []
-    for x in range(system.ground_size):
-        s = 0
-        for j, mem in enumerate(system.members):
-            if (mem >> x) & 1:
-                s |= 1 << j
-        sigs.append(s)
     # with ground size 0 the dual family is empty: VC -1, but IND 0
-    return max(0, vc_dimension(SetSystem.from_masks(m, sigs), budget))
+    return max(0, vc_dimension(dual_system(system), budget))
 
 
 def breadth(system: SetSystem, budget=None) -> Optional[int]:

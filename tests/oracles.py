@@ -1,6 +1,7 @@
 """Brute-force reference definitions of VC dimension, independence
-dimension and breadth, for ground sets of at most 6 elements, and of
-ladder dimension for small relations.
+dimension, breadth, the shatter function and the number of shattered
+sets, for ground sets of at most 6 elements, and of ladder dimension, the
+dual shatter function and type counts for small relations.
 
 Each follows the definition directly and shares no code with the searches
 in ``vclab``, so that the fast paths can be diffed against them.
@@ -49,6 +50,50 @@ def ind_oracle(system):
             if atoms_nonempty:
                 best = k
     return best
+
+
+def _traces(system, a):
+    """The traces S cap A, for A a tuple of elements."""
+    return {frozenset(x for x in a if (m >> x) & 1) for m in system.members}
+
+
+def shattered_count_oracle(system):
+    """The number of subsets A of the ground set with |S cap A| = 2^|A|."""
+    _check_small(system)
+    return sum(
+        len(_traces(system, a)) == 2**size
+        for size in range(system.ground_size + 1)
+        for a in itertools.combinations(range(system.ground_size), size)
+    )
+
+
+def pi_oracle(system, t):
+    """pi_S(t): the most distinct traces S cap A over t-subsets A of the
+    ground set; 0 for the empty family."""
+    _check_small(system)
+    return max(
+        len(_traces(system, a))
+        for a in itertools.combinations(range(system.ground_size), t)
+    )
+
+
+def types_oracle(delta, params):
+    """The number of distinct tuples (phi(x; b) for phi in Delta, b in
+    params) over the objects x."""
+    return len(
+        {
+            tuple(rel.holds(x, b) for rel in delta.relations for b in params)
+            for x in range(delta.x_size)
+        }
+    )
+
+
+def dual_pi_oracle(delta, t):
+    """pi*_Delta(t): the most types over t-subsets of the parameters."""
+    return max(
+        types_oracle(delta, params)
+        for params in itertools.combinations(range(delta.y_size), t)
+    )
 
 
 def _intersection(family, full):

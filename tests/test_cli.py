@@ -218,3 +218,31 @@ def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch, exc):
     path = write_json(tmp_path, "sys.json", gen_intervals(4, 1).to_json())
     with pytest.raises(exc):
         main(["invariants", path])
+
+
+GEN_OPTIONS = {
+    "subsets": {"n": "3", "d": "1"},
+    "intervals": {"points": "4", "k": "1"},
+    "halfspaces": {"coords": "0,0;1,1"},
+    "cosets": {"n": "6", "divisors": "2,3"},
+    "subgroups": {"n": "6"},
+    "progressions": {"window": "4", "max-modulus": "2"},
+    "pointline-fq": {"q": "2"},
+    "elekes": {"k": "1"},
+    "hypercube": {"d": "2"},
+}
+
+
+@pytest.mark.parametrize(
+    "family, missing",
+    [(fam, opt) for fam, opts in GEN_OPTIONS.items() for opt in opts],
+)
+def test_gen_without_a_needed_option_is_a_usage_error(
+    tmp_path, capsys, family, missing
+):
+    options = GEN_OPTIONS[family]
+    argv = ["gen", "--family", family, "--out", str(tmp_path / "out.json")]
+    assert main(argv + [a for k, v in options.items() for a in (f"--{k}", v)]) == 0
+    rest = [a for k, v in options.items() if k != missing for a in (f"--{k}", v)]
+    assert main(argv + rest) == 2
+    assert f"--{missing}" in capsys.readouterr().err

@@ -1,18 +1,35 @@
-"""The level-search invariants and ladder dimension against their
-brute-force definitions."""
+"""The level-search invariants, ladder dimension, the shatter and dual
+shatter functions and type counts against their brute-force definitions,
+and the Sauer-Shelah-Pajor and Assouad bounds."""
+
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import MAX_GROUND, breadth_oracle, ind_oracle, ladder_oracle, vc_oracle
+from oracles import (
+    MAX_GROUND,
+    breadth_oracle,
+    dual_pi_oracle,
+    ind_oracle,
+    ladder_oracle,
+    pi_oracle,
+    shattered_count_oracle,
+    types_oracle,
+    vc_oracle,
+)
 from vclab import (
     BiRelation,
     BudgetExceededError,
+    FormulaSet,
     SetSystem,
     breadth,
+    count_types,
+    dual_shatter,
     independence_dimension,
     ladder_dimension,
+    shatter_function,
     vc_dimension,
 )
 from vclab.relations import dual_system
@@ -94,3 +111,75 @@ def test_breadth_reaches_its_cap():
         full = (1 << n) - 1
         system = SetSystem.from_masks(n, [full & ~(1 << i) for i in range(1, n)])
         assert breadth(system) == breadth_oracle(system) == n - 1
+
+
+budgets = st.one_of(st.none(), st.integers(0, 12))
+
+
+def over_budget(n, t, budget):
+    return budget is not None and math.comb(n, t) > budget
+
+
+@given(data=st.data(), budget=budgets)
+def test_shatter_matches_oracle(data, budget):
+    system = data.draw(small_systems())
+    t = data.draw(st.integers(0, system.ground_size))
+    # the empty family and t = 0 are answered before the budget is checked
+    if system.members and t and over_budget(system.ground_size, t, budget):
+        with pytest.raises(BudgetExceededError) as info:
+            shatter_function(system, t, budget=budget)
+        assert info.value.lower_bound is None
+    else:
+        assert shatter_function(system, t, budget=budget).value == pi_oracle(system, t)
+
+
+@st.composite
+def formula_sets(draw, side_max=5):
+    x = draw(st.integers(0, side_max))
+    y = draw(st.integers(0, side_max))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.integers(0, (1 << y) - 1), min_size=x, max_size=x))
+        relations.append(BiRelation.from_rows(x, y, rows))
+    return FormulaSet.of(relations)
+
+
+def blank(x, y, d):
+    return FormulaSet.of([BiRelation.from_rows(x, y, [0] * x)] * d)
+
+
+@example(delta=blank(0, 3, 2), t=2, budget=None)
+@example(delta=blank(3, 0, 3), t=0, budget=None)
+@example(delta=blank(4, 4, 1), t=2, budget=5)
+@given(delta=formula_sets(), t=st.integers(0, 5), budget=budgets)
+def test_dual_shatter_matches_oracle(delta, t, budget):
+    t = min(t, delta.y_size)
+    if over_budget(delta.y_size, t, budget):
+        with pytest.raises(BudgetExceededError) as info:
+            dual_shatter(delta, t, budget=budget)
+        assert info.value.lower_bound is None
+    else:
+        assert dual_shatter(delta, t, budget=budget).value == dual_pi_oracle(delta, t)
+
+
+@example(delta=blank(0, 2, 1), picks=[0, 1])
+@example(delta=blank(2, 0, 2), picks=[])
+@given(delta=formula_sets(), picks=st.lists(st.integers(0, 4), max_size=7))
+def test_count_types_matches_oracle(delta, picks):
+    # parameters may repeat; with y_size 0 there are none to pick
+    params = [b % delta.y_size for b in picks] if delta.y_size else []
+    assert count_types(delta, params) == types_oracle(delta, params)
+
+
+@given(small_systems())
+def test_sauer_shelah_pajor(system):
+    # S shatters at least |S| subsets of its ground set
+    assert len(system.members) <= shattered_count_oracle(system)
+
+
+@given(small_systems(m_max=MAX_GROUND))
+def test_assouad_dual_bound_both_ways(system):
+    dual = dual_system(system)
+    vc, dual_vc = vc_oracle(system), vc_oracle(dual)
+    assert dual_vc < 2 ** (vc + 1)
+    assert vc < 2 ** (dual_vc + 1)

@@ -36,6 +36,14 @@ def test_mask_string_round_trip():
         assert string_to_mask(s) == mask
 
 
+def test_mask_to_string_matches_its_definition():
+    # character i is bit i of the mask
+    for width in range(9):
+        for mask in range(1 << width):
+            expected = "".join("1" if (mask >> i) & 1 else "0" for i in range(width))
+            assert mask_to_string(mask, width) == expected
+
+
 def test_string_to_mask_rejects_bad_characters():
     with pytest.raises(ShapeError):
         string_to_mask("01x1")
