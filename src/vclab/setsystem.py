@@ -9,9 +9,12 @@ members are pairwise distinct and sorted lexicographically as bit strings
 Provided invariants: traces and pullbacks, the dual system, the shatter
 function pi(t), VC dimension, the Sauer-Shelah binomial bound,
 independence dimension, breadth, Helly number, chain/star/costar trace
-patterns, and the breadth-duality check for lattices of sets.  The scan
-``max_traces`` counts traces for both pi and the dual pi*, and
-``transpose`` is the one bit-matrix transpose behind every dual.
+patterns, and the breadth-duality check for lattices of sets.  Traces
+are counted by partition refinement: ``_refine`` splits blocks of
+members (member bitsets) by an element's column, for pi and the dual
+pi* in ``max_traces`` and for the shattering test of ``vc_dimension``.
+``transpose`` is the one bit-matrix transpose behind every dual and
+every column.
 """
 
 from __future__ import annotations
@@ -60,6 +63,22 @@ def json_field(data, key: str, kind: type):
     return value
 
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _string_order(width: int):
+    """A sort key on masks of the given width that orders them as their bit
+    strings (character i is bit i): the mask with its bits reversed within
+    whole bytes, which is the mask reversed within its width, shifted."""
+    size = (width + 7) // 8
+
+    def key(m: int) -> int:
+        reversed_bytes = m.to_bytes(size, "little").translate(_REVERSED_BYTE)
+        return int.from_bytes(reversed_bytes, "big")
+
+    return key
+
+
 def mask_from_indices(indices) -> int:
     mask = 0
     for i in indices:
@@ -97,7 +116,7 @@ class SetSystem:
                 raise ShapeError(
                     f"member mask {m} does not fit ground size {ground_size}"
                 )
-        distinct = sorted(set(masks), key=lambda m: mask_to_string(m, ground_size))
+        distinct = sorted(set(masks), key=_string_order(ground_size))
         return cls(
             ground_size=ground_size,
             members=tuple(distinct),
@@ -179,15 +198,17 @@ def trace_count(system: SetSystem, subset_mask: int) -> int:
 
 
 def transpose(masks, width: int) -> list:
-    """The columns of a bit matrix with one row per mask: bit j of
-    column x is bit x of masks[j], for x in 0..width-1."""
-    cols = [0] * width
-    for j, m in enumerate(masks):
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= 1 << j
-            m ^= low
-    return cols
+    """The columns of a bit matrix given as a sequence of rows: bit j of
+    column x is bit x of masks[j], for x in 0..width-1.  Every mask must
+    be below 2^width."""
+    if not masks:
+        return [0] * width
+    # bin(m | 1 << width) is "0b1" and then the width bits of m, highest
+    # first; with the rows joined last row first, the characters at one
+    # offset of every block of width + 3 spell a column, row 0 last
+    step = width + 3
+    bits = "".join(map(bin, map((1 << width).__or__, reversed(masks))))
+    return [int(bits[step - 1 - x :: step], 2) for x in range(width)]
 
 
 def dual_system(system: SetSystem) -> SetSystem:
@@ -198,15 +219,35 @@ def dual_system(system: SetSystem) -> SetSystem:
     )
 
 
+def _refine(blocks, col: int) -> list:
+    """The blocks of a partition of members (each a member bitset) split
+    by a column: the members in it and those outside, empty parts dropped."""
+    out = []
+    for b in blocks:
+        inside = b & col
+        if inside and inside != b:
+            out += (inside, b ^ inside)
+        else:
+            out.append(b)
+    return out
+
+
 def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
     """The largest number of distinct ``m & A*spread`` over the masks m,
     for A ranging over the t-subsets of {0..n-1}.
 
     With spread 1 this is pi(t) of the family; a spread of several bits
     repeats A once per bit, so that A picks the same columns out of each
-    block of a stacked row.  The scan enumerates all C(n,t) subsets and
-    errors out when that exceeds the budget.  It stops early at the most
-    there can be: the number of distinct masks, or 2^(t * bits of spread).
+    block of a stacked row.  Errors out when C(n,t) exceeds the budget.
+
+    The distinct masks are partitioned by their trace on A, each block a
+    bitset over the masks; adding an element to A splits every block by
+    the element's columns (one per bit of spread).  A depth-first walk
+    over the t-subsets in lexicographic order carries the partition down,
+    and at the last element only counts the blocks that split.  A subtree
+    is skipped when its blocks times 2^(elements left * bits of spread)
+    cannot beat the best count, and the walk stops at the most there can
+    be: the number of distinct masks, or 2^(t * bits of spread).
     """
     budget = resolve_budget(budget)
     if math.comb(n, t) > budget:
@@ -215,15 +256,44 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
             lower_bound=None,
         )
     masks = list(dict.fromkeys(masks))  # distinct, in their first order
-    cap = min(len(masks), 1 << t * spread.bit_count())
+    if not masks or t == 0:  # no traces, or the one empty trace
+        return min(len(masks), 1)
+    bits = spread.bit_count()
+    cap = min(len(masks), 1 << t * bits)
+    *init, top = indices_of_mask(spread)
+    columns = transpose(masks, n + top)
+    # element x's columns are those at x + s for the bits s of spread; the
+    # last stands apart, as a leaf only counts the blocks that split on it
+    inits = list(zip(*[columns[s : s + n] for s in init])) or [()] * n
+    cols = list(zip(inits, columns[top:]))
     best = 0
-    for combo in itertools.combinations(range(n), t):
-        a = mask_from_indices(combo) * spread
-        c = len({m & a for m in masks})
-        if c > best:
-            best = c
-            if best == cap:
-                break
+    # frames (partition by the chosen elements, next element to try); a
+    # frame with d elements chosen has d frames below it on the stack
+    stack = [([(1 << len(masks)) - 1], 0)]
+    while stack:
+        blocks, x = stack.pop()
+        left = t - len(stack)  # elements still to choose, x included
+        if x > n - left or len(blocks) << left * bits <= best:
+            continue
+        if left > 1:
+            stack.append((blocks, x + 1))
+            init, last = cols[x]
+            for col in init:
+                blocks = _refine(blocks, col)
+            stack.append((_refine(blocks, last), x + 1))
+            continue
+        for init, last in cols[x:]:
+            leaf = blocks
+            for col in init:
+                leaf = _refine(leaf, col)
+            count = len(leaf)
+            for b in leaf:
+                if 0 != b & last != b:
+                    count += 1
+            if count > best:
+                best = count
+                if best == cap:
+                    return best
     return best
 
 
@@ -328,11 +398,22 @@ def vc_dimension(system: SetSystem, budget=None) -> int:
     if not system.members:
         return -1
 
-    def shattered(cand, _state, _others):
-        return True if trace_count(system, cand) == 1 << cand.bit_count() else None
+    cols = transpose(system.members, system.ground_size)
+
+    # the state of a shattered set is the partition of the members by
+    # their traces on it, 2^d blocks; a candidate is shattered iff every
+    # block of its parent's partition splits on the new element's column
+    def shattered(cand, blocks, _others):
+        col = cols[cand.bit_length() - 1]
+        for b in blocks:
+            inside = b & col
+            if inside == 0 or inside == b:
+                return None
+        return _refine(blocks, col)
 
     cap = len(system.members).bit_length() - 1
-    return _level_search(system.ground_size, True, shattered, cap, budget, "VC")
+    root = [(1 << len(system.members)) - 1]
+    return _level_search(system.ground_size, root, shattered, cap, budget, "VC")
 
 
 def independence_dimension(system: SetSystem, budget=None) -> int:

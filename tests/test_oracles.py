@@ -134,9 +134,9 @@ def test_shatter_matches_oracle(data, budget):
 
 
 @st.composite
-def formula_sets(draw, side_max=5):
-    x = draw(st.integers(0, side_max))
-    y = draw(st.integers(0, side_max))
+def formula_sets(draw, x_max=5, y_max=5):
+    x = draw(st.integers(0, x_max))
+    y = draw(st.integers(0, y_max))
     relations = []
     for _ in range(draw(st.integers(1, 3))):
         rows = draw(st.lists(st.integers(0, (1 << y) - 1), min_size=x, max_size=x))
@@ -160,6 +160,21 @@ def test_dual_shatter_matches_oracle(delta, t, budget):
         assert info.value.lower_bound is None
     else:
         assert dual_shatter(delta, t, budget=budget).value == dual_pi_oracle(delta, t)
+
+
+# With many members the most traces there can be, min(|S|, 2^t), is
+# seldom reached, so the search's prune decides more than its early exit.
+@given(data=st.data())
+def test_shatter_matches_oracle_with_many_members(data):
+    system = data.draw(small_systems(m_max=40))
+    t = data.draw(st.integers(0, system.ground_size))
+    assert shatter_function(system, t).value == pi_oracle(system, t)
+
+
+@given(delta=formula_sets(x_max=40, y_max=MAX_GROUND), t=st.integers(0, MAX_GROUND))
+def test_dual_shatter_matches_oracle_with_many_objects(delta, t):
+    t = min(t, delta.y_size)
+    assert dual_shatter(delta, t).value == dual_pi_oracle(delta, t)
 
 
 @example(delta=blank(0, 2, 1), picks=[0, 1])

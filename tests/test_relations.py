@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -24,6 +25,7 @@ from vclab import (
     system_of,
     vc_dimension,
 )
+from vclab.generators import gen_pointline_fq
 from vclab.relations import (
     dual_shatter_relation,
     shatter_relation,
@@ -111,6 +113,26 @@ def test_dual_shatter_matches_transposed_shatter():
             dual_shatter_relation(rel, t).value
             == shatter_relation(dualize(rel), t).value
         )
+
+
+def test_dual_shatter_at_deep_t():
+    # the search goes 1099 parameters deep
+    delta = FormulaSet.of([BiRelation.from_rows(3, 1100, [0, 1, 2])])
+    assert dual_shatter(delta, 1099) == (3, "exact")
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_plane_shatter_and_dual_shatter(q):
+    # two lines meet in at most one point and two points lie on at most
+    # one line, so t <= 4 points (or lines) in general position have the
+    # empty trace, t singletons and C(t, 2) pairs, up to the q^2 lines
+    # (or points) there are
+    rel = gen_pointline_fq(q)
+    system, delta = system_of(rel), FormulaSet.of([rel])
+    for t in range(5):
+        expected = min(q * q, 1 + t + math.comb(t, 2))
+        assert shatter_function(system, t) == (expected, "exact")
+        assert dual_shatter(delta, t) == (expected, "exact")
 
 
 def test_dual_shatter_range_check():

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -26,6 +28,7 @@ from vclab.setsystem import (
     mask_to_string,
     string_to_mask,
     trace_count,
+    transpose,
 )
 
 
@@ -44,6 +47,19 @@ def test_mask_to_string_matches_its_definition():
             assert mask_to_string(mask, width) == expected
 
 
+def test_transpose_matches_its_definition():
+    rng = random.Random(0)
+    for width in range(41):
+        for rows in (0, 1, 2, 7, 40):
+            masks = [rng.getrandbits(width) for _ in range(rows)]
+            cols = transpose(masks, width)
+            assert len(cols) == width
+            for x, col in enumerate(cols):
+                assert col >> rows == 0
+                for j, m in enumerate(masks):
+                    assert (col >> j) & 1 == (m >> x) & 1
+
+
 def test_string_to_mask_rejects_bad_characters():
     with pytest.raises(ShapeError):
         string_to_mask("01x1")
@@ -60,6 +76,15 @@ def test_canonicalization_sorts_and_dedups():
     assert system.had_duplicates
     # members sort lexicographically as bit strings (char i = bit i)
     assert system.to_json()["members"] == ["01", "10"]
+
+
+def test_from_masks_orders_members_as_their_bit_strings():
+    rng = random.Random(0)
+    for width in range(41):
+        singles = [1 << i for i in range(width)]
+        masks = [rng.getrandbits(width) for _ in range(50)] + singles
+        expected = sorted(set(masks), key=lambda m: mask_to_string(m, width))
+        assert list(SetSystem.from_masks(width, masks).members) == expected
 
 
 def test_from_masks_rejects_wide_members():
@@ -90,6 +115,24 @@ def test_shatter_intervals_profile():
     system = gen_intervals(5, 1)
     values = [shatter_function(system, t).value for t in range(6)]
     assert values == [1, 2, 4, 7, 11, 16]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shatter_intervals_closed_form(k):
+    # the traces of unions of k intervals on any t points are the unions of
+    # at most k runs of them; for 2k < t < n their number is below both
+    # 2^t and |S|, so no early exit ends the search
+    for n in range(1, 13):
+        system = gen_intervals(n, k)
+        for t in range(n + 1):
+            expected = sum(math.comb(t, i) for i in range(2 * k + 1))
+            assert shatter_function(system, t) == (expected, "exact")
+
+
+def test_shatter_at_deep_t():
+    # the search goes 1099 elements deep
+    system = SetSystem.from_masks(1100, [0, 1, 2])
+    assert shatter_function(system, 1099) == (3, "exact")
 
 
 def test_shatter_empty_family_and_t_zero():
@@ -150,6 +193,19 @@ def test_independence_dimension_examples():
     # a chain is never 2-independent
     chain = SetSystem.from_strings(4, ["1000", "1100", "1110"])
     assert independence_dimension(chain) == 1
+
+
+@pytest.mark.parametrize(
+    "n, budget, outcome",
+    [(6, 300, ("skipped", 1)), (7, 5000, 2), (8, 10000, ("skipped", 1))],
+)
+def test_independence_dimension_budget_outcomes(n, budget, outcome):
+    # the benchmark's budget-capped jobs and its self-tests rely on these
+    try:
+        got = independence_dimension(gen_intervals(n, 2), budget=budget)
+    except BudgetExceededError as exc:
+        got = ("skipped", exc.lower_bound)
+    assert got == outcome
 
 
 def test_breadth_examples():
