@@ -9,12 +9,13 @@ members are pairwise distinct and sorted lexicographically as bit strings
 Provided invariants: traces and pullbacks, the dual system, the shatter
 function pi(t), VC dimension, the Sauer-Shelah binomial bound,
 independence dimension, breadth, Helly number, chain/star/costar trace
-patterns, and the breadth-duality check for lattices of sets.  Traces
-are counted by partition refinement: ``_refine`` splits blocks of
-members (member bitsets) by an element's column, for pi and the dual
-pi* in ``max_traces`` and for the shattering test of ``vc_dimension``.
-``transpose`` is the one bit-matrix transpose behind every dual and
-every column.
+patterns, and the breadth-duality check for lattices of sets.  VC, IND
+(VC of the dual), breadth and Helly run on one level search,
+``_level_search``.  Traces are counted by partition refinement:
+``_refine`` splits blocks of members (member bitsets) by an element's
+column, for pi and the dual pi* in ``max_traces`` and for the shattering
+test of ``vc_dimension``.  ``transpose`` is the one bit-matrix transpose
+behind every dual and every column.
 """
 
 from __future__ import annotations
@@ -428,6 +429,16 @@ def independence_dimension(system: SetSystem, budget=None) -> int:
     return max(0, vc_dimension(dual_system(system), budget))
 
 
+def _irredundant_meet(inter: int, member: int, others) -> Optional[int]:
+    """``inter & member``, possibly empty, or None when it equals the
+    intersection ``inter`` without the new member or one of ``others``
+    without another member: then the larger subfamily is redundant."""
+    new = inter & member
+    if new == inter or new in others:
+        return None
+    return new
+
+
 def breadth(system: SetSystem, budget=None) -> Optional[int]:
     """Smallest d > 0 such that every nonempty intersection of more than d
     members equals the intersection of d of them; None for the empty family.
@@ -448,10 +459,8 @@ def breadth(system: SetSystem, budget=None) -> Optional[int]:
     # the state of a subfamily is its intersection; dropping the newest
     # member gives the parent's, dropping any other gives a sibling's
     def irredundant(cand, inter, others):
-        new = inter & members[cand.bit_length() - 1]
-        if new == 0 or new == inter or new in others:
-            return None
-        return new
+        member = members[cand.bit_length() - 1]
+        return _irredundant_meet(inter, member, others) or None  # keep nonempty
 
     n = system.ground_size
     try:
@@ -470,7 +479,10 @@ def helly_number(system: SetSystem, cap: int = 20) -> int:
 
     Equals the largest size of a minimal inconsistent subfamily (empty
     total intersection, but every proper subfamily intersects), or 1 when
-    every subfamily intersects.
+    every subfamily intersects.  Those are the irredundant subfamilies with
+    empty intersection, the candidates breadth's search rejects for that;
+    their distinct witness points (each in all members but one) bound
+    their size by n.  Families of more than ``cap`` members are refused.
     """
     members = system.members
     m = len(members)
@@ -478,38 +490,19 @@ def helly_number(system: SetSystem, cap: int = 20) -> int:
         raise BudgetExceededError(
             f"helly_number enumerates subfamilies; {m} members exceeds cap {cap}"
         )
-    full = (1 << system.ground_size) - 1
     best = 1
 
-    # Depth-first over subfamilies with nonempty intersection; each
-    # extension that kills the intersection yields an inconsistent
-    # candidate, minimal iff every drop-one still meets the new member.
-    def extend(idx, inter):
+    def irredundant(cand, inter, others):
         nonlocal best
-        last = idx[-1] if idx else -1
-        for j in range(last + 1, m):
-            mj = members[j]
-            if mj == 0:
-                continue
-            newinter = inter & mj
-            if newinter == 0:
-                size = len(idx) + 1
-                if size > best:
-                    minimal = True
-                    for drop in range(len(idx)):
-                        rest = full & mj
-                        for pos, i in enumerate(idx):
-                            if pos != drop:
-                                rest &= members[i]
-                        if rest == 0:
-                            minimal = False
-                            break
-                    if minimal:
-                        best = size
-            else:
-                extend(idx + (j,), newinter)
+        new = _irredundant_meet(inter, members[cand.bit_length() - 1], others)
+        if new == 0:
+            best = max(best, cand.bit_count())
+            return None
+        return new
 
-    extend((), full)
+    # at most 2^m - 1 candidates are tested, so this budget never runs out
+    n = system.ground_size
+    _level_search(m, (1 << n) - 1, irredundant, n, 1 << m, "Helly")
     return best
 
 

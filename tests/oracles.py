@@ -1,7 +1,7 @@
 """Brute-force reference definitions of VC dimension, independence
-dimension, breadth, the shatter function and the number of shattered
-sets, for ground sets of at most 6 elements, and of ladder dimension, the
-dual shatter function and type counts for small relations.
+dimension, breadth, the Helly number, the shatter function and the number
+of shattered sets, for ground sets of at most 6 elements, and of ladder
+dimension, the dual shatter function and type counts for small relations.
 
 Each follows the definition directly and shares no code with the searches
 in ``vclab``, so that the fast paths can be diffed against them.
@@ -128,6 +128,28 @@ def breadth_oracle(system):
         if holds:
             return d
     return len(members)  # no subfamily has more than |S| members
+
+
+def helly_oracle(system):
+    """Smallest d >= 1 such that every subfamily of more than d members
+    whose d-member subfamilies all have nonempty intersection has a
+    nonempty intersection itself (a subfamily of d or fewer members is
+    one of its own d-subsets)."""
+    _check_small(system)
+    members = system.members
+    full = (1 << system.ground_size) - 1
+    d = 1
+    while any(
+        _intersection(family, full) == 0
+        and all(
+            _intersection(sub, full)
+            for sub in itertools.combinations(family, d)
+        )
+        for size in range(d + 1, len(members) + 1)
+        for family in itertools.combinations(members, size)
+    ):
+        d += 1
+    return d
 
 
 def ladder_oracle(rel):

@@ -65,6 +65,7 @@ def test_invariants_reports_skipped_on_budget(tmp_path, capsys):
     assert main(["invariants", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["exactness"]["helly"] == "skipped"
+    assert report["helly"] is None
 
 
 def test_shatter_profile_csv(tmp_path, capsys):
@@ -207,6 +208,26 @@ def test_malformed_budget_variable_is_a_usage_error(tmp_path, capsys, monkeypatc
     monkeypatch.setenv("VCLAB_BUDGET", "lots")
     assert main(["invariants", path]) == 2
     assert "VCLAB_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--budget", "-1", "shatter", "{path}", "--t", "0..2"], None, "budget"),
+        (["--budget", "-1", "invariants", "{path}"], None, "budget"),
+        (["invariants", "{path}"], "-3", "VCLAB_BUDGET"),
+    ],
+)
+def test_negative_budget_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, env, message
+):
+    path = write_json(tmp_path, "sys.json", gen_intervals(5, 1).to_json())
+    if env is not None:
+        monkeypatch.setenv("VCLAB_BUDGET", env)
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{message} must be >= 0" in captured.err
 
 
 @pytest.mark.parametrize("exc", [KeyError, ValueError])

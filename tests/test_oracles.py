@@ -1,6 +1,6 @@
-"""The level-search invariants, ladder dimension, the shatter and dual
-shatter functions and type counts against their brute-force definitions,
-and the Sauer-Shelah-Pajor and Assouad bounds."""
+"""The level-search invariants, the Helly number, ladder dimension, the
+shatter and dual shatter functions and type counts against their
+brute-force definitions, and the Sauer-Shelah-Pajor and Assouad bounds."""
 
 import math
 
@@ -12,6 +12,7 @@ from oracles import (
     MAX_GROUND,
     breadth_oracle,
     dual_pi_oracle,
+    helly_oracle,
     ind_oracle,
     ladder_oracle,
     pi_oracle,
@@ -27,6 +28,7 @@ from vclab import (
     breadth,
     count_types,
     dual_shatter,
+    helly_number,
     independence_dimension,
     ladder_dimension,
     shatter_function,
@@ -56,6 +58,26 @@ def test_ind_matches_oracle(system):
 @given(small_systems(m_max=7))
 def test_breadth_matches_oracle(system):
     assert breadth(system) == breadth_oracle(system)
+
+
+def co_singletons(n):
+    full = (1 << n) - 1
+    return SetSystem.from_masks(n, [full & ~(1 << i) for i in range(n)])
+
+
+@example(SetSystem.from_masks(3, []))
+@example(SetSystem.from_masks(0, [0]))
+@example(SetSystem.from_masks(3, [0, 0b011, 0b110]))
+@example(co_singletons(MAX_GROUND))
+@given(small_systems())
+def test_helly_matches_oracle(system):
+    assert helly_number(system) == helly_oracle(system)
+
+
+def test_helly_of_co_singletons_is_the_ground_size():
+    # any n - 1 of the n sets X minus {i} meet in a point, all n in none
+    for n in range(1, MAX_GROUND + 1):
+        assert helly_number(co_singletons(n)) == helly_oracle(co_singletons(n)) == n
 
 
 @st.composite

@@ -1,6 +1,6 @@
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vclab import (
@@ -182,6 +182,31 @@ def test_helly_at_most_breadth_when_intersection_closed(system):
         return
     closed = SetSystem.from_masks(system.ground_size, masks)
     assert helly_number(closed) <= breadth(closed)
+
+
+@example(SetSystem.from_masks(0, [0]))
+@given(set_systems())
+def test_helly_at_most_ground_size(system):
+    # a minimal inconsistent family has a witness point per member
+    assert helly_number(system) <= max(1, system.ground_size)
+
+
+@given(set_systems(n_max=6, m_max=7))
+def test_helly_at_most_breadth_plus_one(system):
+    # dropping one member of a minimal inconsistent k-family leaves an
+    # irredundant (k-1)-family with a nonempty intersection
+    if system.members:
+        assert helly_number(system) <= breadth(system) + 1
+
+
+@settings(max_examples=50)
+@given(set_systems(n_max=5, m_max=7))
+def test_helly_number_gives_a_costar_trace(system):
+    # the witness points of a minimal inconsistent k-family, each in
+    # every member but one, carry a k-costar
+    k = helly_number(system)
+    if k >= 2:
+        assert contains_trace(system, TracePattern("costar", k)) is not None
 
 
 @settings(max_examples=50)

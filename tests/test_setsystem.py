@@ -216,16 +216,11 @@ def test_breadth_examples():
     assert breadth(gen_subsets_at_most_d(5, 3)) == 3
 
 
-def test_helly_number_examples():
-    # pairwise intersecting triple with empty total intersection
-    triple = SetSystem.from_strings(3, ["110", "011", "101"])
-    assert helly_number(triple) == 3
-    # a directed family never has an inconsistent subfamily
-    chain = SetSystem.from_strings(3, ["100", "110", "111"])
-    assert helly_number(chain) == 1
+# pairwise intersecting triple with empty total intersection
+HELLY_TRIPLE = SetSystem.from_strings(3, ["110", "011", "101"])
 
 
-def test_helly_number_half_integer_grid():
+def half_integer_grid():
     # nine points at half-integer positions 0, 1/2, ..., 4; member i is
     # {x : x < i or x > i+1}, a 3-consistent but inconsistent family
     n = 9
@@ -235,14 +230,44 @@ def test_helly_number_half_integer_grid():
             j for j in range(n) if j / 2 < i or j / 2 > i + 1
         )
 
-    system = SetSystem.from_masks(n, [member(i) for i in range(4)])
-    assert helly_number(system) == 4
+    return SetSystem.from_masks(n, [member(i) for i in range(4)])
+
+
+def test_helly_number_examples():
+    assert helly_number(HELLY_TRIPLE) == 3
+    # a directed family never has an inconsistent subfamily
+    chain = SetSystem.from_strings(3, ["100", "110", "111"])
+    assert helly_number(chain) == 1
+
+
+def test_helly_number_half_integer_grid():
+    assert helly_number(half_integer_grid()) == 4
+
+
+def test_helly_number_ignores_the_budget_variable(monkeypatch):
+    # the Helly search has no budget; only its member cap bounds it
+    monkeypatch.setenv("VCLAB_BUDGET", "1")
+    assert helly_number(HELLY_TRIPLE) == 3
+    assert helly_number(half_integer_grid()) == 4
 
 
 def test_helly_number_cap():
     system = SetSystem.from_masks(6, [1 << (i % 6) for i in range(6)])
     with pytest.raises(BudgetExceededError):
         helly_number(system, cap=3)
+
+
+def test_helly_number_at_its_member_cap():
+    # the six sets X minus {i} are minimal inconsistent and 6 = n is the
+    # most there can be, whatever 14 two-element sets join them
+    full = (1 << 6) - 1
+    co_singletons = [full & ~(1 << i) for i in range(6)]
+    pairs = [(1 << i) | (1 << j) for i in range(6) for j in range(i + 1, 6)]
+    system = SetSystem.from_masks(6, co_singletons + pairs[:14])
+    assert len(system) == 20
+    assert helly_number(system) == 6
+    with pytest.raises(BudgetExceededError, match="20 members exceeds cap 19"):
+        helly_number(system, cap=19)
 
 
 def test_trace_pattern_validation():
