@@ -10,12 +10,16 @@ Provided invariants: traces and pullbacks, the dual system, the shatter
 function pi(t), VC dimension, the Sauer-Shelah binomial bound,
 independence dimension, breadth, Helly number, chain/star/costar trace
 patterns, and the breadth-duality check for lattices of sets.  VC, IND
-(VC of the dual), breadth and Helly run on one level search,
-``_level_search``.  Traces are counted by partition refinement:
-``_refine`` splits blocks of members (member bitsets) by an element's
-column, for pi and the dual pi* in ``max_traces`` and for the shattering
-test of ``vc_dimension``.  ``transpose`` is the one bit-matrix transpose
-behind every dual and every column.
+(VC of the dual) and Helly run on one level search over subsets,
+``_level_search``.  The star and costar patterns run on one depth-first
+search over element sets W whose co-singletons are all traces,
+``_cotrace_search``; breadth runs on whichever of the two searches has
+the smaller universe, members or elements.  Traces are counted by
+partition refinement: ``_refine`` splits blocks of members (member
+bitsets) by an element's column, for pi and the dual pi* in
+``max_traces`` and for the shattering test of ``vc_dimension``.
+``transpose`` is the one bit-matrix transpose behind every dual and
+every column.
 """
 
 from __future__ import annotations
@@ -354,6 +358,10 @@ def _level_search(universe, root, extend, cap, budget, what) -> int:
     ``extend(cand, parent_state, other_states)``: the candidate's state, or
     None when it is not in the family.  One test costs one budget unit; on
     running out, BudgetExceededError carries the last full level as bound.
+
+    It serves VC dimension (shattered element sets; IND as VC of the
+    dual), breadth of families with no more members than elements and the
+    Helly number (both over irredundant subfamilies of members).
     """
     budget = resolve_budget(budget)
     work = 0
@@ -429,6 +437,77 @@ def independence_dimension(system: SetSystem, budget=None) -> int:
     return max(0, vc_dimension(dual_system(system), budget))
 
 
+def _cotrace_search(searches, best, cap, budget) -> tuple:
+    """The largest size, above ``best`` and at most ``cap``, of a set W of
+    elements on which the root members trace every co-singleton W minus
+    {w}, over searches given as (root, cols): a member bitset and the
+    columns (member bitsets) of the elements to try, in order.
+
+    Such sets are downward closed.  A set's state is A, the root members
+    containing W, and one bitset B_w per w in W, the root members that
+    contain W minus {w} and miss w; extending W by x with column C takes
+    A & C, every B_w & C and the new B_x = A & ~C, and is kept when every
+    B is nonempty.  Sets are tried depth first, in lexicographic order, so
+    the first of a size is the least.  Later B's are disjoint parts of A,
+    so a frame is pruned when |W| + min(elements left, |A|) <= best.
+    One budget unit is one extension tested; on running out,
+    BudgetExceededError carries the best size (given or found) as bound.
+
+    Only the first element of each distinct column on the root is tried:
+    two elements with the same one are never both in W (each B would have
+    to hold a member with one and not the other), and the earlier gives
+    the smaller set with the same B's.  A column holding every root member
+    is never in W (its B_x is empty).  So a search tries fewer than
+    min(len(cols) + 1, 2^|root|) elements.
+
+    Returns (best, found): found is (W as indices into its search's cols,
+    the B_w in that order) for the last improvement, or None.
+    """
+    budget = resolve_budget(budget)
+    found = None
+    work = 0
+    for root, all_cols in searches:
+        first = {}
+        for x, col in enumerate(all_cols):
+            first.setdefault(col & root, x)
+        first.pop(root, None)
+        cols = list(first)
+        elements = list(first.values())
+        n = len(cols)
+        # frames (A, W, the B_w, next index into cols); a frame's sibling
+        # (skip this element) is pushed under its child (take it)
+        stack = [(root, (), (), 0)]
+        while stack:
+            a, w, bs, i = stack.pop()
+            if len(w) + min(n - i, a.bit_count()) <= best:
+                continue
+            stack.append((a, w, bs, i + 1))
+            work += 1
+            if work > budget:
+                raise BudgetExceededError(
+                    "co-singleton trace search exceeded budget", lower_bound=best
+                )
+            col = cols[i]
+            fresh = a & ~col
+            if not fresh:
+                continue
+            grown = []
+            for b in bs:
+                b &= col
+                if not b:
+                    break
+                grown.append(b)
+            else:
+                grown.append(fresh)
+                w += (elements[i],)
+                if len(w) > best:
+                    best, found = len(w), (w, grown)
+                    if best == cap:
+                        return best, found
+                stack.append((a & col, w, grown, i + 1))
+    return best, found
+
+
 def _irredundant_meet(inter: int, member: int, others) -> Optional[int]:
     """``inter & member``, possibly empty, or None when it equals the
     intersection ``inter`` without the new member or one of ``others``
@@ -443,18 +522,27 @@ def breadth(system: SetSystem, budget=None) -> Optional[int]:
     """Smallest d > 0 such that every nonempty intersection of more than d
     members equals the intersection of d of them; None for the empty family.
 
-    Computed exactly for all subfamily sizes at once: the answer equals the
-    maximum size of an irredundant subfamily with nonempty intersection
-    (irredundant: dropping any one member strictly enlarges the
-    intersection), and irredundant subfamilies are downward closed, which
-    permits a level search.  Such a subfamily has pairwise distinct witness
-    elements outside its intersection, so its size is at most n - 1.  A
-    family with no nonempty intersections of two or more members has
-    breadth 1.
+    The answer is the maximum size of an irredundant subfamily with
+    nonempty intersection (irredundant: dropping any one member strictly
+    enlarges the intersection), or 1 if there is none; it is at most n - 1.
+    Two exact searches find it, and the one over the smaller side runs:
+
+    - m <= n members: irredundant subfamilies are downward closed, so a
+      level search over the members finds the largest, one budget unit
+      per candidate subfamily.
+    - m > n: such a subfamily of size k with a point p in its
+      intersection has pairwise distinct witness elements, w_i in every
+      member but the i-th, forming a k-set W without p on which the
+      members containing p trace every co-singleton W minus {w};
+      conversely the members realising those traces form such a
+      subfamily.  So ``_cotrace_search`` from each distinct column of a
+      point finds the largest W, one budget unit per extension tested.
     """
     members = system.members
     if not members:
         return None
+    n = system.ground_size
+    m = len(members)
 
     # the state of a subfamily is its intersection; dropping the newest
     # member gives the parent's, dropping any other gives a sibling's
@@ -462,15 +550,17 @@ def breadth(system: SetSystem, budget=None) -> Optional[int]:
         member = members[cand.bit_length() - 1]
         return _irredundant_meet(inter, member, others) or None  # keep nonempty
 
-    n = system.ground_size
     try:
-        d = _level_search(
-            len(members), (1 << n) - 1, irredundant, n - 1, budget, "breadth"
-        )
+        if m <= n:
+            best = _level_search(m, (1 << n) - 1, irredundant, n - 1, budget, "breadth")
+        else:
+            cols = transpose(members, n)
+            searches = ((root, cols) for root in dict.fromkeys(cols))
+            best, _ = _cotrace_search(searches, 0, n - 1, budget)
     except BudgetExceededError as exc:
         exc.lower_bound = max(1, exc.lower_bound)
         raise
-    return max(1, d)
+    return max(1, best)
 
 
 def helly_number(system: SetSystem, cap: int = 20) -> int:
@@ -479,10 +569,14 @@ def helly_number(system: SetSystem, cap: int = 20) -> int:
 
     Equals the largest size of a minimal inconsistent subfamily (empty
     total intersection, but every proper subfamily intersects), or 1 when
-    every subfamily intersects.  Those are the irredundant subfamilies with
-    empty intersection, the candidates breadth's search rejects for that;
-    their distinct witness points (each in all members but one) bound
-    their size by n.  Families of more than ``cap`` members are refused.
+    every subfamily intersects.  Those are the irredundant subfamilies
+    (dropping any one member strictly enlarges the intersection) with
+    empty intersection.  Irredundant subfamilies are downward closed, so a
+    level search over them finds these; their distinct witness points
+    (each in all members but one) bound their size by n.  Families of
+    more than ``cap`` members are refused.  Unlike breadth it has no
+    search over witness sets W: there, the condition that the realising
+    members have an empty intersection is not downward closed.
     """
     members = system.members
     m = len(members)
@@ -523,34 +617,43 @@ class TraceWitness(NamedTuple):
     member_indices: tuple  # member realizing each pattern set, in pattern order
 
 
-def _pattern_sets(pattern: TracePattern, base: tuple):
-    """The pattern's sets as masks over the chosen base tuple, in a fixed
-    order (chain by size, star/costar by excluded/included element)."""
-    amask = mask_from_indices(base)
-    if pattern.kind == "chain":
-        out = []
-        cur = 0
-        for x in base:
-            cur |= 1 << x
-            out.append(cur)
-        return out
-    if pattern.kind == "star":
-        return [1 << x for x in base]
-    return [amask & ~(1 << x) for x in base]  # costar
-
-
 def contains_trace(system: SetSystem, pattern: TracePattern, budget=None):
     """Search for a placement of the pattern inside a trace of the system.
 
-    Returns a TraceWitness when present, None when certifiably absent.
-    Chain placements additionally allow any ordering of the base, which is
-    equivalent to requiring a nested sequence of traces with sizes 1..k.
+    Returns a TraceWitness when present, None when certifiably absent; on
+    running out of budget, raises InconclusiveError.  The witness is the
+    first base in lexicographic order, each pattern set realised by its
+    lowest-indexed member.
+
+    A k-costar on a base W is its co-singletons W minus {w}, a k-star its
+    singletons, which are co-singletons for the complemented columns; both
+    are found by ``_cotrace_search`` from all members, capped at k, one
+    budget unit per extension tested.  Chain placements additionally allow
+    any ordering of the base, which is equivalent to requiring a nested
+    sequence of traces with sizes 1..k; they test each k-subset of the
+    ground set in turn, one budget unit each.
     """
     budget = resolve_budget(budget)
     n = system.ground_size
     k = pattern.size
     if k > n:
         return None
+    if pattern.kind != "chain":
+        full = (1 << len(system.members)) - 1
+        cols = transpose(system.members, n)
+        if pattern.kind == "star":
+            cols = [full ^ col for col in cols]
+        try:
+            _, found = _cotrace_search([(full, cols)], k - 1, k, budget)
+        except BudgetExceededError:
+            raise InconclusiveError(
+                "pattern search exceeded budget before completing"
+            ) from None
+        if found is None:
+            return None
+        base, realisers = found
+        lowest = tuple((b & -b).bit_length() - 1 for b in realisers)
+        return TraceWitness(base, lowest)
     work = 0
     for base in itertools.combinations(range(n), k):
         work += 1
@@ -562,34 +665,29 @@ def contains_trace(system: SetSystem, pattern: TracePattern, budget=None):
         traces = {}
         for idx, mem in enumerate(system.members):
             traces.setdefault(mem & amask, idx)
-        if pattern.kind == "chain":
-            # nested traces of sizes 1..k ending at the full base
-            by_size = {}
-            for tmask in traces:
-                by_size.setdefault(bin(tmask).count("1"), []).append(tmask)
-            parents = {t: None for t in by_size.get(1, [])}
-            ok = set(parents)
-            for size in range(2, k + 1):
-                nxt = {}
-                for t in by_size.get(size, []):
-                    for u in ok:
-                        if u & ~t == 0:
-                            nxt[t] = u
-                            break
-                parents.update(nxt)
-                ok = set(nxt)
-                if not ok:
-                    break
-            if amask in ok:
-                chain = [amask]
-                while parents[chain[-1]] is not None:
-                    chain.append(parents[chain[-1]])
-                chain.reverse()
-                return TraceWitness(base, tuple(traces[t] for t in chain))
-        else:
-            wanted = _pattern_sets(pattern, base)
-            if all(w in traces for w in wanted):
-                return TraceWitness(base, tuple(traces[w] for w in wanted))
+        # nested traces of sizes 1..k ending at the full base
+        by_size = {}
+        for tmask in traces:
+            by_size.setdefault(bin(tmask).count("1"), []).append(tmask)
+        parents = {t: None for t in by_size.get(1, [])}
+        ok = set(parents)
+        for size in range(2, k + 1):
+            nxt = {}
+            for t in by_size.get(size, []):
+                for u in ok:
+                    if u & ~t == 0:
+                        nxt[t] = u
+                        break
+            parents.update(nxt)
+            ok = set(nxt)
+            if not ok:
+                break
+        if amask in ok:
+            chain = [amask]
+            while parents[chain[-1]] is not None:
+                chain.append(parents[chain[-1]])
+            chain.reverse()
+            return TraceWitness(base, tuple(traces[t] for t in chain))
     return None
 
 

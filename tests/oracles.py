@@ -1,7 +1,8 @@
 """Brute-force reference definitions of VC dimension, independence
-dimension, breadth, the Helly number, the shatter function and the number
-of shattered sets, for ground sets of at most 6 elements, and of ladder
-dimension, the dual shatter function and type counts for small relations.
+dimension, breadth, the Helly number, the shatter function, the number
+of shattered sets and the star and costar trace patterns, for ground sets
+of at most 6 elements, and of ladder dimension, the dual shatter function
+and type counts for small relations.
 
 Each follows the definition directly and shares no code with the searches
 in ``vclab``, so that the fast paths can be diffed against them.
@@ -150,6 +151,29 @@ def helly_oracle(system):
     ):
         d += 1
     return d
+
+
+def trace_pattern_oracle(system, pattern):
+    """The first base A (a k-subset of the ground set, in lexicographic
+    order) on which the traces include every singleton {a} (star) or
+    every co-singleton A minus {a} (costar), a in A, with the first member
+    realising each, in the order of A, as (base, member indices); None
+    when there is none."""
+    _check_small(system)
+    if pattern.kind not in ("star", "costar"):
+        raise ValueError("the oracle takes star and costar patterns")
+    for base in itertools.combinations(range(system.ground_size), pattern.size):
+        amask = sum(1 << a for a in base)
+        traces = {}
+        for idx, mem in enumerate(system.members):
+            traces.setdefault(mem & amask, idx)
+        if pattern.kind == "star":
+            wanted = [1 << a for a in base]
+        else:
+            wanted = [amask & ~(1 << a) for a in base]
+        if all(w in traces for w in wanted):
+            return base, tuple(traces[w] for w in wanted)
+    return None
 
 
 def ladder_oracle(rel):

@@ -1,6 +1,7 @@
-"""The level-search invariants, the Helly number, ladder dimension, the
-shatter and dual shatter functions and type counts against their
-brute-force definitions, and the Sauer-Shelah-Pajor and Assouad bounds."""
+"""The level-search invariants, breadth, the Helly number, the star and
+costar trace patterns, ladder dimension, the shatter and dual shatter
+functions and type counts against their brute-force definitions, and the
+Sauer-Shelah-Pajor and Assouad bounds."""
 
 import math
 
@@ -17,6 +18,7 @@ from oracles import (
     ladder_oracle,
     pi_oracle,
     shattered_count_oracle,
+    trace_pattern_oracle,
     types_oracle,
     vc_oracle,
 )
@@ -25,7 +27,9 @@ from vclab import (
     BudgetExceededError,
     FormulaSet,
     SetSystem,
+    TracePattern,
     breadth,
+    contains_trace,
     count_types,
     dual_shatter,
     helly_number,
@@ -78,6 +82,22 @@ def test_helly_of_co_singletons_is_the_ground_size():
     # any n - 1 of the n sets X minus {i} meet in a point, all n in none
     for n in range(1, MAX_GROUND + 1):
         assert helly_number(co_singletons(n)) == helly_oracle(co_singletons(n)) == n
+
+
+def singletons(n):
+    return SetSystem.from_masks(n, [1 << i for i in range(n)])
+
+
+@example(singletons(MAX_GROUND))
+@example(co_singletons(MAX_GROUND))
+@given(small_systems(m_max=16))
+def test_star_and_costar_traces_match_oracle(system):
+    for kind in ("star", "costar"):
+        for k in range(2, system.ground_size + 2):
+            pattern = TracePattern(kind, k)
+            assert contains_trace(system, pattern) == trace_pattern_oracle(
+                system, pattern
+            )
 
 
 @st.composite

@@ -166,6 +166,19 @@ def test_breadth_at_least_independence(system):
         assert b >= independence_dimension(system)
 
 
+@given(set_systems(n_max=8, m_max=16))
+def test_breadth_ignores_added_and_repeated_elements(system):
+    # elements in no member, or copies of an element, change no
+    # irredundant subfamily; padding to n + m elements moves breadth to the
+    # search over members, and doubling repeats every element column
+    n = system.ground_size
+    m = len(system.members)
+    b = breadth(system)
+    assert breadth(SetSystem.from_masks(n + m, system.members)) == b
+    doubled = SetSystem.from_masks(2 * n, [a | a << n for a in system.members])
+    assert breadth(doubled) == b
+
+
 @settings(max_examples=50)
 @given(set_systems(n_max=5, m_max=5))
 def test_helly_at_most_breadth_when_intersection_closed(system):

@@ -6,6 +6,7 @@ import pytest
 
 from vclab import (
     BudgetExceededError,
+    InconclusiveError,
     PreconditionError,
     RangeError,
     SetSystem,
@@ -14,6 +15,7 @@ from vclab import (
     breadth,
     check_breadth_duality,
     contains_trace,
+    dual_system,
     helly_number,
     independence_dimension,
     sauer_shelah_bound,
@@ -21,7 +23,7 @@ from vclab import (
     trace,
     vc_dimension,
 )
-from vclab.generators import gen_intervals, gen_subsets_at_most_d
+from vclab.generators import gen_halfspaces, gen_intervals, gen_subsets_at_most_d
 from vclab.setsystem import (
     indices_of_mask,
     mask_from_indices,
@@ -214,6 +216,40 @@ def test_breadth_examples():
     assert breadth(singletons) == 1
     assert breadth(gen_subsets_at_most_d(5, 2)) == 2
     assert breadth(gen_subsets_at_most_d(5, 3)) == 3
+    assert breadth(halfspaces14()) == 7
+    assert breadth(gen_intervals(16, 2)) == 15
+
+
+def halfspaces14():
+    # half-planes on the 14 points (i, i^2 mod 17): 184 members
+    return gen_halfspaces([(i, i * i % 17) for i in range(14)])
+
+
+@pytest.mark.parametrize("budget", [0, 1, 50, 500, 3439])
+def test_breadth_budget_outcomes(budget):
+    # a budget-capped breadth is exact or certifies a lower bound
+    try:
+        assert breadth(halfspaces14(), budget=budget) == 7
+    except BudgetExceededError as exc:
+        assert 1 <= exc.lower_bound <= 7
+
+
+def test_breadth_budget_unit_is_one_extension_tested():
+    # halfspaces14 has more members than points, so breadth searches sets
+    # of elements; the full search tests 3440 extensions
+    with pytest.raises(BudgetExceededError):
+        breadth(halfspaces14(), budget=3439)
+    assert breadth(halfspaces14(), budget=3440) == 7
+
+
+def test_breadth_of_few_members_on_a_large_ground_set():
+    # with m <= n breadth searches subfamilies of members, 2^m - 1 at most
+    system = SetSystem.from_masks(1000, [(1 << 500) - 1, (1 << 1000) - 1])
+    assert breadth(system) == 1
+    assert breadth(system, budget=3) == 1
+    # 8 independent members on 256 elements: every subfamily is irredundant
+    independent = dual_system(SetSystem.from_masks(8, range(1 << 8)))
+    assert breadth(independent, budget=255) == 8
 
 
 # pairwise intersecting triple with empty total intersection
@@ -292,6 +328,26 @@ def test_contains_trace_star_and_costar():
     witness = contains_trace(costar, TracePattern("costar", 4))
     assert witness is not None
     assert contains_trace(costar, TracePattern("costar", 5)) is None
+
+
+def test_contains_trace_with_zero_budget_is_inconclusive():
+    costar = SetSystem.from_masks(4, [0b1111 & ~(1 << i) for i in range(4)])
+    for kind in ("chain", "star", "costar"):
+        with pytest.raises(InconclusiveError):
+            contains_trace(costar, TracePattern(kind, 4), budget=0)
+
+
+def test_contains_trace_with_zero_budget_rules_out_too_few_members_or_columns():
+    # star and costar need k members and k distinct element columns;
+    # with fewer the search ends before any extension is tested
+    one = SetSystem.from_masks(3, [0b011])
+    two_columns = SetSystem.from_masks(4, [0b0011, 0b1100, 0b1111])
+    for system, k in ((one, 2), (two_columns, 3)):
+        for kind in ("star", "costar"):
+            assert contains_trace(system, TracePattern(kind, k), budget=0) is None
+            assert contains_trace(system, TracePattern(kind, k)) is None
+        with pytest.raises(InconclusiveError):
+            contains_trace(system, TracePattern("chain", k), budget=0)
 
 
 def test_contains_trace_chain_allows_reordered_base():
