@@ -18,7 +18,7 @@ from .errors import (
     RangeError,
 )
 from .relations import BiRelation
-from .setsystem import SetSystem, mask_from_indices
+from .setsystem import SetSystem, mask_from_indices, trace_count
 
 
 def gen_subsets_at_most_d(n: int, d: int) -> SetSystem:
@@ -57,9 +57,9 @@ def _as_point(p):
     return (Fraction(x), Fraction(y))
 
 
-def gen_halfspaces(points, closed: bool = True) -> SetSystem:
-    """All distinct traces of (closed) half-planes on the given rational
-    points, plus the full and empty traces.
+def gen_halfspaces(points) -> SetSystem:
+    """All distinct traces of half-planes on the given rational points,
+    plus the full and empty traces.
 
     Candidates: for each pair of points take the line through them; each
     side of the line, together with a prefix or suffix (in the along-line
@@ -68,7 +68,7 @@ def gen_halfspaces(points, closed: bool = True) -> SetSystem:
     half-plane can be translated and rotated onto such a position without
     changing its trace, so the enumeration is exhaustive.  Open and closed
     half-planes cut the same traces on a finite point set (nudge the
-    boundary), so the flag does not change the result.
+    boundary), so the traces are those of either.
     """
     pts = [_as_point(p) for p in points]
     if len(set(pts)) != len(pts):
@@ -305,13 +305,7 @@ def phi_hat_sandwich(rel: BiRelation, subset_mask: int) -> SandwichReport:
         for a in range(n)
         if (subset_mask >> a) & 1
     )
-    traces = set()
-    for a in range(n):
-        row = rel.rows[a]
-        for b in range(n):
-            if (row >> b) & 1:
-                traces.add(((1 << a) | (1 << b)) & subset_mask)
-    count = len(traces)
+    count = trace_count(phi_hat(rel), subset_mask)
     return SandwichReport(
         a0, boundary, induced, count, 2 * a0 + induced, 1 + boundary + induced
     )

@@ -9,14 +9,17 @@ members are pairwise distinct and sorted lexicographically as bit strings
 Provided invariants: traces and pullbacks, the dual system, the shatter
 function pi(t), VC dimension, the Sauer-Shelah binomial bound,
 independence dimension, breadth, Helly number, chain/star/costar trace
-patterns, and the breadth-duality check for lattices of sets.  VC, IND
-(VC of the dual) and Helly run on one level search over subsets,
-``_level_search``.  The star and costar patterns run on one depth-first
-search over element sets W whose co-singletons are all traces,
-``_cotrace_search``; breadth runs on whichever of the two searches has
-the smaller universe, members or elements.  Traces are counted by
-partition refinement: ``_refine`` splits blocks of members (member
-bitsets) by an element's column, for pi and the dual pi* in
+patterns, and the breadth-duality check for lattices of sets.  Two
+searches compute them.  VC, and IND as VC of the dual, run a level search
+over shattered element sets inside ``vc_dimension``.  Breadth, the Helly
+number and the star and costar patterns ask for k members and k elements
+where member i misses element i and contains the other k - 1 (a
+co-identity submatrix); one depth-first search, ``_cotrace_search``,
+finds them, with a ``meet`` condition on the common part of the chosen
+columns: star, costar and breadth over element sets need none, breadth
+over member sets needs it nonempty and Helly needs it empty.  Traces are
+counted by partition refinement: ``_refine`` splits blocks of members
+(member bitsets) by an element's column, for pi and the dual pi* in
 ``max_traces`` and for the shattering test of ``vc_dimension``.
 ``transpose`` is the one bit-matrix transpose behind every dual and
 every column.
@@ -348,81 +351,59 @@ def sauer_shelah_bound(n: int, d: int) -> int:
     return sum(math.comb(n, i) for i in range(d + 1))
 
 
-def _level_search(universe, root, extend, cap, budget, what) -> int:
-    """Size of a largest set in a downward-closed family over
-    {0..universe-1}, found level by level and stopped at ``cap``.
+def vc_dimension(system: SetSystem, budget=None) -> int:
+    """Largest size of a shattered subset; -1 for the empty family.
 
-    Levels map set masks to states; ``root`` is the empty set's state.  A
-    candidate ``cand = parent | 1 << x`` (x above parent's elements) is
-    tested only when all its immediate subsets are in the last level, by
-    ``extend(cand, parent_state, other_states)``: the candidate's state, or
-    None when it is not in the family.  One test costs one budget unit; on
-    running out, BudgetExceededError carries the last full level as bound.
-
-    It serves VC dimension (shattered element sets; IND as VC of the
-    dual), breadth of families with no more members than elements and the
-    Helly number (both over irredundant subfamilies of members).
+    Shattered sets are downward closed, so they are found level by level.
+    A shattered d-set has 2^d distinct traces, so d <= floor(log2 |S|)
+    (Linial, Mansour and Rivest, 1991), and the search stops at that cap.
+    A candidate ``parent | 1 << x`` (x above the parent's elements) is
+    tested only when all its immediate subsets are in the last level; one
+    test costs one budget unit, and on running out BudgetExceededError
+    carries the last full level as bound.
     """
+    if not system.members:
+        return -1
     budget = resolve_budget(budget)
+    n = system.ground_size
+    cols = transpose(system.members, n)
+    cap = len(system.members).bit_length() - 1
+    # the state of a shattered set is the partition of the members by
+    # their traces on it, 2^d blocks; a candidate is shattered iff every
+    # block of its parent's partition splits on the new element's column
+    level = {0: [(1 << len(system.members)) - 1]}
     work = 0
-    level = {0: root}
     d = 0
     while d < cap:
         nxt = {}
-        for parent, state in level.items():
-            for x in range(parent.bit_length(), universe):
+        for parent, blocks in level.items():
+            for x in range(parent.bit_length(), n):
                 cand = parent | 1 << x
-                others = []
                 rest = parent
                 while rest:
                     low = rest & -rest
-                    other = level.get(cand ^ low)
-                    if other is None:
+                    if cand ^ low not in level:
                         break
-                    others.append(other)
                     rest ^= low
                 if rest:
                     continue
                 work += 1
                 if work > budget:
                     raise BudgetExceededError(
-                        f"{what} level search exceeded budget", lower_bound=d
+                        "VC level search exceeded budget", lower_bound=d
                     )
-                new = extend(cand, state, others)
-                if new is not None:
-                    nxt[cand] = new
+                col = cols[x]
+                for b in blocks:
+                    inside = b & col
+                    if inside == 0 or inside == b:
+                        break
+                else:
+                    nxt[cand] = _refine(blocks, col)
         if not nxt:
             break
         level = nxt
         d += 1
     return d
-
-
-def vc_dimension(system: SetSystem, budget=None) -> int:
-    """Largest size of a shattered subset; -1 for the empty family.
-
-    Level search over the downward-closed family of shattered sets.  A
-    shattered d-set has 2^d distinct traces, so d <= floor(log2 |S|).
-    """
-    if not system.members:
-        return -1
-
-    cols = transpose(system.members, system.ground_size)
-
-    # the state of a shattered set is the partition of the members by
-    # their traces on it, 2^d blocks; a candidate is shattered iff every
-    # block of its parent's partition splits on the new element's column
-    def shattered(cand, blocks, _others):
-        col = cols[cand.bit_length() - 1]
-        for b in blocks:
-            inside = b & col
-            if inside == 0 or inside == b:
-                return None
-        return _refine(blocks, col)
-
-    cap = len(system.members).bit_length() - 1
-    root = [(1 << len(system.members)) - 1]
-    return _level_search(system.ground_size, root, shattered, cap, budget, "VC")
 
 
 def independence_dimension(system: SetSystem, budget=None) -> int:
@@ -437,7 +418,7 @@ def independence_dimension(system: SetSystem, budget=None) -> int:
     return max(0, vc_dimension(dual_system(system), budget))
 
 
-def _cotrace_search(searches, best, cap, budget) -> tuple:
+def _cotrace_search(searches, best, cap, budget, meet=None) -> tuple:
     """The largest size, above ``best`` and at most ``cap``, of a set W of
     elements on which the root members trace every co-singleton W minus
     {w}, over searches given as (root, cols): a member bitset and the
@@ -447,11 +428,16 @@ def _cotrace_search(searches, best, cap, budget) -> tuple:
     containing W, and one bitset B_w per w in W, the root members that
     contain W minus {w} and miss w; extending W by x with column C takes
     A & C, every B_w & C and the new B_x = A & ~C, and is kept when every
-    B is nonempty.  Sets are tried depth first, in lexicographic order, so
-    the first of a size is the least.  Later B's are disjoint parts of A,
-    so a frame is pruned when |W| + min(elements left, |A|) <= best.
-    One budget unit is one extension tested; on running out,
-    BudgetExceededError carries the best size (given or found) as bound.
+    B is nonempty.  A kept set counts toward the size always (``meet``
+    None), or only when its A is nonempty (True) or empty (False); a set
+    with A empty has no extensions.  Sets are tried depth first, in
+    lexicographic order, so the first of a size is the least.  Later B's
+    are disjoint parts of A, and with ``meet`` True so is the final A, so
+    a frame is pruned when |W| plus the most elements it can still take,
+    at most the elements left and |A| (|A| - 1 with ``meet`` True), is at
+    most ``best``.  One budget unit is one extension tested; on running
+    out, BudgetExceededError carries the best size (given or found) as
+    bound.
 
     Only the first element of each distinct column on the root is tried:
     two elements with the same one are never both in W (each B would have
@@ -479,7 +465,8 @@ def _cotrace_search(searches, best, cap, budget) -> tuple:
         stack = [(root, (), (), 0)]
         while stack:
             a, w, bs, i = stack.pop()
-            if len(w) + min(n - i, a.bit_count()) <= best:
+            room = min(n - i, a.bit_count() - (meet is True))
+            if i == n or len(w) + room <= best:
                 continue
             stack.append((a, w, bs, i + 1))
             work += 1
@@ -500,22 +487,14 @@ def _cotrace_search(searches, best, cap, budget) -> tuple:
             else:
                 grown.append(fresh)
                 w += (elements[i],)
-                if len(w) > best:
+                a &= col
+                if len(w) > best and (meet is None or meet == (a != 0)):
                     best, found = len(w), (w, grown)
                     if best == cap:
                         return best, found
-                stack.append((a & col, w, grown, i + 1))
+                if a:
+                    stack.append((a, w, grown, i + 1))
     return best, found
-
-
-def _irredundant_meet(inter: int, member: int, others) -> Optional[int]:
-    """``inter & member``, possibly empty, or None when it equals the
-    intersection ``inter`` without the new member or one of ``others``
-    without another member: then the larger subfamily is redundant."""
-    new = inter & member
-    if new == inter or new in others:
-        return None
-    return new
 
 
 def breadth(system: SetSystem, budget=None) -> Optional[int]:
@@ -525,34 +504,28 @@ def breadth(system: SetSystem, budget=None) -> Optional[int]:
     The answer is the maximum size of an irredundant subfamily with
     nonempty intersection (irredundant: dropping any one member strictly
     enlarges the intersection), or 1 if there is none; it is at most n - 1.
-    Two exact searches find it, and the one over the smaller side runs:
+    Both sides are co-identity searches, ``_cotrace_search``, and the one
+    over the smaller universe runs, one budget unit per extension tested:
 
-    - m <= n members: irredundant subfamilies are downward closed, so a
-      level search over the members finds the largest, one budget unit
-      per candidate subfamily.
+    - m <= n members: a subfamily is irredundant exactly when each member
+      misses a point, its B, that all the others contain: the co-singleton
+      search over the members, with the members as columns on the root of
+      all points, and ``meet`` True for the nonempty intersection A.
     - m > n: such a subfamily of size k with a point p in its
       intersection has pairwise distinct witness elements, w_i in every
       member but the i-th, forming a k-set W without p on which the
       members containing p trace every co-singleton W minus {w};
       conversely the members realising those traces form such a
-      subfamily.  So ``_cotrace_search`` from each distinct column of a
-      point finds the largest W, one budget unit per extension tested.
+      subfamily.  So the search from each distinct column of a point
+      finds the largest W, with ``meet`` None.
     """
     members = system.members
     if not members:
         return None
     n = system.ground_size
-    m = len(members)
-
-    # the state of a subfamily is its intersection; dropping the newest
-    # member gives the parent's, dropping any other gives a sibling's
-    def irredundant(cand, inter, others):
-        member = members[cand.bit_length() - 1]
-        return _irredundant_meet(inter, member, others) or None  # keep nonempty
-
     try:
-        if m <= n:
-            best = _level_search(m, (1 << n) - 1, irredundant, n - 1, budget, "breadth")
+        if len(members) <= n:
+            best, _ = _cotrace_search([((1 << n) - 1, members)], 0, n - 1, budget, True)
         else:
             cols = transpose(members, n)
             searches = ((root, cols) for root in dict.fromkeys(cols))
@@ -571,12 +544,10 @@ def helly_number(system: SetSystem, cap: int = 20) -> int:
     total intersection, but every proper subfamily intersects), or 1 when
     every subfamily intersects.  Those are the irredundant subfamilies
     (dropping any one member strictly enlarges the intersection) with
-    empty intersection.  Irredundant subfamilies are downward closed, so a
-    level search over them finds these; their distinct witness points
-    (each in all members but one) bound their size by n.  Families of
-    more than ``cap`` members are refused.  Unlike breadth it has no
-    search over witness sets W: there, the condition that the realising
-    members have an empty intersection is not downward closed.
+    empty intersection, so the co-singleton search over the members, as
+    for breadth with m <= n, finds them with ``meet`` False; their
+    distinct witness points (each in all members but one) bound their
+    size by n.  Families of more than ``cap`` members are refused.
     """
     members = system.members
     m = len(members)
@@ -584,20 +555,11 @@ def helly_number(system: SetSystem, cap: int = 20) -> int:
         raise BudgetExceededError(
             f"helly_number enumerates subfamilies; {m} members exceeds cap {cap}"
         )
-    best = 1
-
-    def irredundant(cand, inter, others):
-        nonlocal best
-        new = _irredundant_meet(inter, members[cand.bit_length() - 1], others)
-        if new == 0:
-            best = max(best, cand.bit_count())
-            return None
-        return new
-
-    # at most 2^m - 1 candidates are tested, so this budget never runs out
+    # a search over m columns tests fewer than (m + 1) * 2^m extensions,
+    # so this budget never runs out
     n = system.ground_size
-    _level_search(m, (1 << n) - 1, irredundant, n, 1 << m, "Helly")
-    return best
+    best, _ = _cotrace_search([((1 << n) - 1, members)], 0, n, (m + 1) << m, False)
+    return max(1, best)
 
 
 @dataclass(frozen=True)

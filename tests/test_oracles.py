@@ -1,5 +1,6 @@
-"""The level-search invariants, breadth, the Helly number, the star and
-costar trace patterns, ladder dimension, the shatter and dual shatter
+"""The level-search invariants (VC and independence dimension), the
+co-identity-search invariants (breadth, the Helly number and the star and
+costar trace patterns), ladder dimension, the shatter and dual shatter
 functions and type counts against their brute-force definitions, and the
 Sauer-Shelah-Pajor and Assouad bounds."""
 
@@ -73,7 +74,7 @@ def co_singletons(n):
 @example(SetSystem.from_masks(0, [0]))
 @example(SetSystem.from_masks(3, [0, 0b011, 0b110]))
 @example(co_singletons(MAX_GROUND))
-@given(small_systems())
+@given(small_systems(m_max=12))
 def test_helly_matches_oracle(system):
     assert helly_number(system) == helly_oracle(system)
 

@@ -243,13 +243,21 @@ def test_breadth_budget_unit_is_one_extension_tested():
 
 
 def test_breadth_of_few_members_on_a_large_ground_set():
-    # with m <= n breadth searches subfamilies of members, 2^m - 1 at most
+    # with m <= n breadth searches subfamilies of members, one budget unit
+    # per extension tested
     system = SetSystem.from_masks(1000, [(1 << 500) - 1, (1 << 1000) - 1])
     assert breadth(system) == 1
     assert breadth(system, budget=3) == 1
-    # 8 independent members on 256 elements: every subfamily is irredundant
+    # a nonempty intersection leaves |A| - 1 points for more members, so the
+    # member of no points on one point is answered without a unit
+    assert breadth(SetSystem.from_masks(1, [0]), budget=0) == 1
+    # 8 independent members on 256 elements: every subfamily is irredundant,
+    # and the search takes the 8 members in turn, then stops at the bound
     independent = dual_system(SetSystem.from_masks(8, range(1 << 8)))
-    assert breadth(independent, budget=255) == 8
+    with pytest.raises(BudgetExceededError) as exc:
+        breadth(independent, budget=7)
+    assert exc.value.lower_bound == 7
+    assert breadth(independent, budget=8) == 8
 
 
 # pairwise intersecting triple with empty total intersection
