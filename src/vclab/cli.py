@@ -30,8 +30,7 @@ from .verify import SUITES, run_suite
 DEFAULT_SEED = 0
 
 
-def _write_output(data: dict, out):
-    text = json.dumps(data, indent=2) + "\n"
+def _write_output(text: str, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -102,7 +101,7 @@ def cmd_gen(args) -> int:
         if getattr(args, name) is None:
             option = "--" + name.replace("_", "-")
             raise ShapeError(f"--family {args.family} needs {option}")
-    _write_output(build(args).to_json(), args.out)
+    _write_output(json.dumps(build(args).to_json(), indent=2) + "\n", args.out)
     return 0
 
 
@@ -138,7 +137,7 @@ def cmd_invariants(args) -> int:
             # helly_number certifies no lower bound: it reports null
             report[key] = exc.lower_bound
             report["exactness"][key] = "skipped"
-    _write_output(report, args.out)
+    _write_output(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 
@@ -185,12 +184,7 @@ def cmd_shatter(args, dual: bool = False) -> int:
     # ShatterProfile invariants would reject
     lines = ["t,value,exact"]
     lines += [f"{t},{v},{1 if e else 0}" for t, v, e in samples]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(lines) + "\n", args.out)
     return exit_code
 
 

@@ -38,10 +38,10 @@ class ShatterProfile:
             if cur.value < prev.value:
                 raise PreconditionError("sample values must be nondecreasing")
         for s in normed:
-            if s.value > 1 << s.t:
-                raise PreconditionError(f"value {s.value} exceeds 2^{s.t}")
             if s.value < 0 or s.t < 0:
                 raise RangeError("samples must be nonnegative")
+            if s.value > 1 << s.t:
+                raise PreconditionError(f"value {s.value} exceeds 2^{s.t}")
         return cls(normed, source)
 
     @classmethod
@@ -51,8 +51,13 @@ class ShatterProfile:
             raise PreconditionError('profile CSV must start with header "t,value,exact"')
         samples = []
         for ln in lines[1:]:
-            t, v, e = ln.strip().split(",")
-            samples.append((int(t), int(v), bool(int(e))))
+            try:
+                t, v, e = map(int, ln.strip().split(","))
+            except ValueError:
+                raise PreconditionError(
+                    f"profile CSV row {ln.strip()!r} is not three integers"
+                ) from None
+            samples.append((t, v, bool(e)))
         return cls.of(samples, source)
 
     def to_csv(self) -> str:

@@ -32,23 +32,13 @@ def gen_subsets_at_most_d(n: int, d: int) -> SetSystem:
     return SetSystem.from_masks(n, masks)
 
 
-def _run_count(mask: int, n: int) -> int:
-    runs = 0
-    prev = 0
-    for i in range(n):
-        cur = (mask >> i) & 1
-        if cur and not prev:
-            runs += 1
-        prev = cur
-    return runs
-
-
 def gen_intervals(n_points: int, k: int) -> SetSystem:
     """Subsets of n ordered points that are unions of at most k runs of
     consecutive points (the trace of unions of k intervals on the line)."""
     if n_points < 1 or k < 1:
         raise RangeError("need n_points >= 1 and k >= 1")
-    masks = [m for m in range(1 << n_points) if _run_count(m, n_points) <= k]
+    # a run starts at each bit set whose lower neighbour is clear
+    masks = [m for m in range(1 << n_points) if (m & ~(m << 1)).bit_count() <= k]
     return SetSystem.from_masks(n_points, masks)
 
 

@@ -6,7 +6,8 @@ member per distinct column.  FormulaSet models a finite nonempty list of
 relations sharing both domains; count_types counts complete signature
 vectors over (relation, parameter) pairs.
 
-Also here: ladder dimension (the finite stability witness), pointwise
+Also here: ladder dimension (the finite stability witness), computed by
+the ladder search of setsystem that also finds chain patterns, pointwise
 Boolean combinations, the guarded-implication single-relation encoding of
 a formula set, the parameter-lift construction and the coordinate-power
 construction.  The dual system and pullbacks of set systems along index
@@ -20,7 +21,6 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .config import resolve_budget
 from .errors import (
     BudgetExceededError,
     PreconditionError,
@@ -30,6 +30,7 @@ from .errors import (
 from .setsystem import (  # dual_system and pullback are re-exported
     SetSystem,
     ShatterValue,
+    _ladder_search,
     dual_system,
     json_field,
     mask_from_indices,
@@ -197,39 +198,11 @@ def shatter_relation(rel: BiRelation, t: int, budget=None) -> ShatterValue:
 
 def ladder_dimension(rel: BiRelation, budget=None) -> int:
     """Largest n admitting a_1..a_n, b_1..b_n with (a_i, b_j) related
-    iff i <= j.  Depth-first extension with memoized states; the pair of
-    used-index sets determines all future constraints, so revisits are
-    skipped.  The sets are bit masks, which keeps the memo small.
+    iff i <= j.  The ladder search over the columns (``_ladder_search``),
+    capped at min(|X|, |Y|), one budget unit per extension tested; on
+    running out, BudgetExceededError carries the largest ladder found.
     """
-    budget = resolve_budget(budget)
-    cols = rel.columns()
-    best = 0
-    seen = set()
-    work = 0
-
-    def extend(a_used, b_used, depth):
-        nonlocal best, work
-        best = max(best, depth)
-        if (a_used, b_used) in seen:
-            return
-        seen.add((a_used, b_used))
-        for a in range(rel.x_size):
-            # the new a must be unrelated to every chosen b
-            if (a_used >> a) & 1 or rel.rows[a] & b_used:
-                continue
-            for b in range(rel.y_size):
-                # the new b must be related to every chosen a and to a
-                if (b_used >> b) & 1 or (a_used | 1 << a) & ~cols[b]:
-                    continue
-                work += 1
-                if work > budget:
-                    raise BudgetExceededError(
-                        "ladder search exceeded budget", lower_bound=best
-                    )
-                extend(a_used | 1 << a, b_used | 1 << b, depth + 1)
-
-    extend(0, 0, 0)
-    return best
+    return _ladder_search(rel.columns(), min(rel.x_size, rel.y_size), budget)[0]
 
 
 def boolean_combine(a: BiRelation, b=None, op: str = "and") -> BiRelation:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, PreconditionError, RangeError, ShapeError
-from .setsystem import SetSystem, indices_of_mask
+from .setsystem import SetSystem, indices_of_mask, json_field
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,14 @@ class RootedGraph:
     def from_json(cls, data) -> "RootedGraph":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls.of(data["n_vertices"], data["roots"], map(tuple, data["edges"]))
+        roots = json_field(data, "roots", list)
+        edges = json_field(data, "edges", list)
+        if not all(type(r) is int for r in roots) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
+            for e in edges
+        ):
+            raise ShapeError("roots must be integers and edges pairs of integers")
+        return cls.of(json_field(data, "n_vertices", int), roots, map(tuple, edges))
 
     def to_json(self) -> dict:
         return {

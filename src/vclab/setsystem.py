@@ -9,7 +9,7 @@ members are pairwise distinct and sorted lexicographically as bit strings
 Provided invariants: traces and pullbacks, the dual system, the shatter
 function pi(t), VC dimension, the Sauer-Shelah binomial bound,
 independence dimension, breadth, Helly number, chain/star/costar trace
-patterns, and the breadth-duality check for lattices of sets.  Two
+patterns, and the breadth-duality check for lattices of sets.  Three
 searches compute them.  VC, and IND as VC of the dual, run a level search
 over shattered element sets inside ``vc_dimension``.  Breadth, the Helly
 number and the star and costar patterns ask for k members and k elements
@@ -17,7 +17,10 @@ where member i misses element i and contains the other k - 1 (a
 co-identity submatrix); one depth-first search, ``_cotrace_search``,
 finds them, with a ``meet`` condition on the common part of the chosen
 columns: star, costar and breadth over element sets need none, breadth
-over member sets needs it nonempty and Helly needs it empty.  Traces are
+over member sets needs it nonempty and Helly needs it empty.  A chain
+pattern is a ladder (a_i in c_j iff i <= j) of the membership relation,
+found by the depth-first ``_ladder_search``, which also computes
+``relations.ladder_dimension`` from a relation's columns.  Traces are
 counted by partition refinement: ``_refine`` splits blocks of members
 (member bitsets) by an element's column, for pi and the dual pi* in
 ``max_traces`` and for the shattering test of ``vc_dimension``.
@@ -182,14 +185,9 @@ def pullback(system: SetSystem, f) -> SetSystem:
     for img in f:
         if not (0 <= img < system.ground_size):
             raise RangeError(f"image index {img} out of range")
-    new_members = []
-    for m in system.members:
-        nm = 0
-        for xp, img in enumerate(f):
-            if (m >> img) & 1:
-                nm |= 1 << xp
-        new_members.append(nm)
-    return SetSystem.from_masks(len(f), new_members)
+    cols = transpose(system.members, system.ground_size)
+    pulled = transpose([cols[img] for img in f], len(system.members))
+    return SetSystem.from_masks(len(f), pulled)
 
 
 def trace(system: SetSystem, subset) -> SetSystem:
@@ -497,6 +495,68 @@ def _cotrace_search(searches, best, cap, budget, meet=None) -> tuple:
     return best, found
 
 
+def _ladder_moves(a, u, within):
+    """The moves from the ladder state (A, U), given the (column, index)
+    pairs holding A: elements outside U in order, each with its columns."""
+    free = 0
+    for col, _ in within:
+        free |= col
+    free &= ~u
+    while free:
+        low = free & -free
+        free ^= low
+        inner = [(col, j) for col, j in within if col & low]
+        for col, j in inner:
+            yield a | low, u | col, inner, (low.bit_length() - 1, j)
+
+
+def _ladder_search(cols, cap, budget) -> tuple:
+    """The largest k, at most ``cap``, with elements a_1..a_k and columns
+    (element bitsets) c_1..c_k such that a_i is in c_j iff i <= j, and
+    the ladder as (a_i, index of c_i) pairs for the last improvement, or
+    None.  A move adds an element a outside U, the union of the chosen
+    columns (a misses them all), and a column holding A, the chosen
+    elements, and a; no chosen column holds a, so (A, U) is the whole
+    state and a seen state is skipped.  Moves go depth first, elements
+    then columns in increasing order, first of each distinct column only;
+    a frame is pruned when |A| plus the most elements outside U of a
+    column holding A is at most the best.  A budget unit is one move,
+    charged before the seen check; BudgetExceededError carries the best.
+    """
+    budget = resolve_budget(budget)
+    first = {}
+    for j, col in enumerate(cols):
+        if col:
+            first.setdefault(col, j)
+    best, found = 0, None
+    work = 0
+    seen = set()
+    # frames (bound on the size, ladder so far, move generator)
+    top = max((col.bit_count() for col in first), default=0)
+    stack = [(top, (), _ladder_moves(0, 0, list(first.items())))]
+    while stack:
+        bound, path, moves = stack[-1]
+        move = next(moves, None) if bound > best else None
+        if move is None:
+            stack.pop()
+            continue
+        work += 1
+        if work > budget:
+            raise BudgetExceededError("ladder search exceeded budget", lower_bound=best)
+        a, u, within, step = move
+        path += (step,)
+        if len(path) > best:
+            best, found = len(path), path
+            if best == cap:
+                return best, found
+        if (a, u) not in seen:
+            seen.add((a, u))
+            bound = len(path) + max((col & ~u).bit_count() for col, _ in within)
+            if bound > best:
+                stack.append((bound, path, _ladder_moves(a, u, within)))
+    return best, found
+
+
 def breadth(system: SetSystem, budget=None) -> Optional[int]:
     """Smallest d > 0 such that every nonempty intersection of more than d
     members equals the intersection of d of them; None for the empty family.
@@ -583,74 +643,45 @@ def contains_trace(system: SetSystem, pattern: TracePattern, budget=None):
     """Search for a placement of the pattern inside a trace of the system.
 
     Returns a TraceWitness when present, None when certifiably absent; on
-    running out of budget, raises InconclusiveError.  The witness is the
-    first base in lexicographic order, each pattern set realised by its
-    lowest-indexed member.
+    running out of budget, raises InconclusiveError.  Each pattern set is
+    realised by its lowest-indexed member.
 
     A k-costar on a base W is its co-singletons W minus {w}, a k-star its
     singletons, which are co-singletons for the complemented columns; both
     are found by ``_cotrace_search`` from all members, capped at k, one
-    budget unit per extension tested.  Chain placements additionally allow
-    any ordering of the base, which is equivalent to requiring a nested
-    sequence of traces with sizes 1..k; they test each k-subset of the
-    ground set in turn, one budget unit each.
+    budget unit per extension tested, and the witness is the first base in
+    lexicographic order.  A k-chain is a base a_1..a_k, in some order,
+    whose prefixes {a_1..a_j} are all traces: a k-ladder of the membership
+    relation, found by ``_ladder_search`` over the members, capped at k,
+    one budget unit per move tested; the witness is the first ladder in
+    search order, as the sorted base and its prefixes' members, in order.
     """
     budget = resolve_budget(budget)
     n = system.ground_size
     k = pattern.size
     if k > n:
         return None
-    if pattern.kind != "chain":
-        full = (1 << len(system.members)) - 1
-        cols = transpose(system.members, n)
-        if pattern.kind == "star":
-            cols = [full ^ col for col in cols]
-        try:
-            _, found = _cotrace_search([(full, cols)], k - 1, k, budget)
-        except BudgetExceededError:
-            raise InconclusiveError(
-                "pattern search exceeded budget before completing"
-            ) from None
-        if found is None:
-            return None
-        base, realisers = found
-        lowest = tuple((b & -b).bit_length() - 1 for b in realisers)
-        return TraceWitness(base, lowest)
-    work = 0
-    for base in itertools.combinations(range(n), k):
-        work += 1
-        if work > budget:
-            raise InconclusiveError(
-                "pattern search exceeded budget before completing"
-            )
-        amask = mask_from_indices(base)
-        traces = {}
-        for idx, mem in enumerate(system.members):
-            traces.setdefault(mem & amask, idx)
-        # nested traces of sizes 1..k ending at the full base
-        by_size = {}
-        for tmask in traces:
-            by_size.setdefault(bin(tmask).count("1"), []).append(tmask)
-        parents = {t: None for t in by_size.get(1, [])}
-        ok = set(parents)
-        for size in range(2, k + 1):
-            nxt = {}
-            for t in by_size.get(size, []):
-                for u in ok:
-                    if u & ~t == 0:
-                        nxt[t] = u
-                        break
-            parents.update(nxt)
-            ok = set(nxt)
-            if not ok:
-                break
-        if amask in ok:
-            chain = [amask]
-            while parents[chain[-1]] is not None:
-                chain.append(parents[chain[-1]])
-            chain.reverse()
-            return TraceWitness(base, tuple(traces[t] for t in chain))
-    return None
+    try:
+        if pattern.kind == "chain":
+            best, found = _ladder_search(system.members, k, budget)
+        else:
+            full = (1 << len(system.members)) - 1
+            cols = transpose(system.members, n)
+            if pattern.kind == "star":
+                cols = [full ^ col for col in cols]
+            best, found = _cotrace_search([(full, cols)], k - 1, k, budget)
+    except BudgetExceededError:
+        raise InconclusiveError(
+            "pattern search exceeded budget before completing"
+        ) from None
+    if best < k:
+        return None
+    if pattern.kind == "chain":
+        order, realisers = zip(*found)
+        return TraceWitness(tuple(sorted(order)), realisers)
+    base, realisers = found
+    lowest = tuple((b & -b).bit_length() - 1 for b in realisers)
+    return TraceWitness(base, lowest)
 
 
 def check_breadth_duality(system: SetSystem, d: int):

@@ -10,12 +10,13 @@ and distances below are graph distances in that tree.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PreconditionError, RangeError, ShapeError
-from .setsystem import SetSystem, mask_from_indices
+from .setsystem import SetSystem, json_field, mask_from_indices
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class Ball:
     def from_json(cls, data) -> "Ball":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(data["center"], data["radius"])
+        return cls(json_field(data, "center", str), json_field(data, "radius", int))
 
     def to_json(self) -> dict:
         return {"center": self.center, "radius": self.radius}
@@ -47,18 +48,10 @@ class UltrametricSpace:
     def full(cls, p: int, depth: int) -> "UltrametricSpace":
         if p < 2 or depth < 1:
             raise RangeError("need p >= 2 and depth >= 1")
-        digits = "0123456789"[:p]
         if p > 10:
             raise RangeError("branching factors above 10 are not supported")
-
-        def build(prefix):
-            if len(prefix) == depth:
-                yield prefix
-                return
-            for d in digits:
-                yield from build(prefix + d)
-
-        return cls(p, depth, tuple(build("")))
+        words = itertools.product("0123456789"[:p], repeat=depth)
+        return cls(p, depth, tuple(map("".join, words)))
 
     @classmethod
     def of(cls, p: int, depth: int, elements) -> "UltrametricSpace":
@@ -76,9 +69,13 @@ class UltrametricSpace:
     def from_json(cls, data) -> "UltrametricSpace":
         if isinstance(data, str):
             data = json.loads(data)
-        if data["elements"] == "all":
-            return cls.full(data["p"], data["depth"])
-        return cls.of(data["p"], data["depth"], data["elements"])
+        p, depth = json_field(data, "p", int), json_field(data, "depth", int)
+        if data.get("elements") == "all":
+            return cls.full(p, depth)
+        elements = json_field(data, "elements", list)
+        if not all(isinstance(e, str) for e in elements):
+            raise ShapeError("elements must be digit strings")
+        return cls.of(p, depth, elements)
 
     def to_json(self) -> dict:
         full = UltrametricSpace.full(self.p, self.depth)

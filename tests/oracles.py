@@ -1,8 +1,8 @@
 """Brute-force reference definitions of VC dimension, independence
 dimension, breadth, the Helly number, the shatter function, the number
-of shattered sets and the star and costar trace patterns, for ground sets
-of at most 6 elements, and of ladder dimension, the dual shatter function
-and type counts for small relations.
+of shattered sets and the chain, star and costar trace patterns, for
+ground sets of at most 6 elements, and of ladder dimension, the dual
+shatter function and type counts for small relations.
 
 Each follows the definition directly and shares no code with the searches
 in ``vclab``, so that the fast paths can be diffed against them.
@@ -173,6 +173,19 @@ def trace_pattern_oracle(system, pattern):
             wanted = [amask & ~(1 << a) for a in base]
         if all(w in traces for w in wanted):
             return base, tuple(traces[w] for w in wanted)
+    return None
+
+
+def chain_oracle(system, k):
+    """The first ordering a_1..a_k of a k-subset of the ground set (bases
+    in lexicographic order, then their orderings) on which the traces
+    include every prefix {a_1..a_j}, j = 1..k; None when there is none."""
+    _check_small(system)
+    for base in itertools.combinations(range(system.ground_size), k):
+        traces = _traces(system, base)
+        for order in itertools.permutations(base):
+            if all(frozenset(order[:j]) in traces for j in range(1, k + 1)):
+                return order
     return None
 
 

@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from vclab import PreconditionError, ShatterProfile, classify_growth, fit_exponent
+from vclab import (
+    PreconditionError,
+    RangeError,
+    ShatterProfile,
+    classify_growth,
+    fit_exponent,
+)
 from vclab.estimator import fit_report_json
 
 
@@ -19,6 +25,19 @@ def test_profile_validation():
         ShatterProfile.of([(2, 4, True), (3, 3, True)])  # value decreasing
     with pytest.raises(PreconditionError):
         ShatterProfile.of([(2, 5, True)])  # value above 2^t
+
+
+def test_negative_samples_are_a_range_error():
+    with pytest.raises(RangeError):
+        ShatterProfile.of([(-1, 0, True)])
+    with pytest.raises(RangeError):
+        ShatterProfile.of([(3, -1, True)])
+
+
+@pytest.mark.parametrize("row", ["0,1", "0,1,1,1", "0,x,1", "0,1.5,1"])
+def test_csv_rows_of_three_integers(row):
+    with pytest.raises(PreconditionError, match="not three integers"):
+        ShatterProfile.from_csv(f"t,value,exact\n{row}\n")
 
 
 def test_csv_round_trip():

@@ -1,7 +1,8 @@
 """The level-search invariants (VC and independence dimension), the
 co-identity-search invariants (breadth, the Helly number and the star and
-costar trace patterns), ladder dimension, the shatter and dual shatter
-functions and type counts against their brute-force definitions, and the
+costar trace patterns), the ladder-search invariants (chain trace
+patterns and ladder dimension), the shatter and dual shatter functions
+and type counts against their brute-force definitions, and the
 Sauer-Shelah-Pajor and Assouad bounds."""
 
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     MAX_GROUND,
     breadth_oracle,
+    chain_oracle,
     dual_pi_oracle,
     helly_oracle,
     ind_oracle,
@@ -99,6 +101,34 @@ def test_star_and_costar_traces_match_oracle(system):
             assert contains_trace(system, pattern) == trace_pattern_oracle(
                 system, pattern
             )
+
+
+def shuffled_chain(n):
+    # the prefixes of the order n-1, 0, n-2, 1, ... as members
+    order = [x for pair in zip(range(n - 1, -1, -1), range(n)) for x in pair]
+    order = list(dict.fromkeys(order))
+    return SetSystem.from_masks(n, [sum(1 << x for x in order[:j]) for j in range(n + 1)])
+
+
+@example(shuffled_chain(MAX_GROUND))
+@example(co_singletons(MAX_GROUND))
+@given(small_systems(m_max=16))
+def test_chain_traces_match_oracle(system):
+    members = system.members
+    for k in range(2, system.ground_size + 2):
+        witness = contains_trace(system, TracePattern("chain", k))
+        assert (witness is None) == (chain_oracle(system, k) is None)
+        if witness is None:
+            continue
+        base, realisers = witness
+        assert len(base) == k and list(base) == sorted(set(base))
+        amask = sum(1 << x for x in base)
+        traces = [members[j] & amask for j in realisers]
+        # nested, of sizes 1..k, each realised by its lowest-indexed member
+        assert [t.bit_count() for t in traces] == list(range(1, k + 1))
+        assert all(t & ~u == 0 for t, u in zip(traces, traces[1:]))
+        for j, t in zip(realisers, traces):
+            assert j == min(i for i, m in enumerate(members) if m & amask == t)
 
 
 @st.composite

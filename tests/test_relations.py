@@ -149,6 +149,12 @@ def test_ladder_dimension_examples():
     assert ladder_dimension(empty) == 0
 
 
+def test_ladder_dimension_deeper_than_the_recursion_limit():
+    # the search keeps its own stack, so a ladder of 1100 rungs is found
+    # under the default budget
+    assert ladder_dimension(half_graph(1100)) == 1100
+
+
 def test_boolean_combine():
     a = BiRelation.from_rows(2, 3, [0b101, 0b010])
     b = BiRelation.from_rows(2, 3, [0b011, 0b110])

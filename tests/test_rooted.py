@@ -47,6 +47,22 @@ def test_rooted_graph_json_round_trip():
     assert again.non_roots() == [2, 3]
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"roots": [0], "edges": []},
+        [3, [0], []],
+        {"n_vertices": 3.0, "roots": [0], "edges": []},
+        {"n_vertices": 3, "roots": [0.0], "edges": []},
+        {"n_vertices": 3, "roots": [0], "edges": [[0, 1, 2]]},
+    ],
+    ids=["missing-field", "not-an-object", "float-size", "float-root", "triple-edge"],
+)
+def test_rooted_graph_from_json_rejects_bad_fields(data):
+    with pytest.raises(ShapeError):
+        RootedGraph.from_json(data)
+
+
 def test_root_root_edges_do_not_count():
     g = RootedGraph.of(3, [0, 1], [(0, 1), (0, 2)])
     assert average_degree(g) == Fraction(2)

@@ -29,6 +29,31 @@ def test_space_constructors_and_json():
     assert UltrametricSpace.from_json(space.to_json()) == space
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"p": 2, "elements": "all"},
+        [2, 3, "all"],
+        {"p": 2, "depth": 3.0, "elements": "all"},
+        {"p": 2, "depth": 3, "elements": [1]},
+    ],
+    ids=["missing-field", "not-an-object", "float-depth", "non-string-element"],
+)
+def test_space_from_json_rejects_bad_fields(data):
+    with pytest.raises(ShapeError):
+        UltrametricSpace.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"center": "001"}, ["001", 2], {"center": "001", "radius": 2.0}],
+    ids=["missing-field", "not-an-object", "float-radius"],
+)
+def test_ball_from_json_rejects_bad_fields(data):
+    with pytest.raises(ShapeError):
+        Ball.from_json(data)
+
+
 def test_space_validation():
     with pytest.raises(RangeError):
         UltrametricSpace.full(1, 3)
