@@ -204,7 +204,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``vclab`` parser, built on the first call and shared after it:
+    parsing keeps no state between calls (each returns a fresh namespace,
+    every default is immutable, and messages look up ``sys.stderr`` when
+    they print), so a process that calls ``main`` many times builds it
+    once."""
     parser = argparse.ArgumentParser(prog="vclab")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
@@ -258,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (VcLabError, OSError) as exc:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import PreconditionError, RangeError
+from .errors import PreconditionError, RangeError, ShapeError
 
 
 class ProfileSample(NamedTuple):
@@ -31,7 +31,18 @@ class ShatterProfile:
 
     @classmethod
     def of(cls, samples, source: str = "") -> "ShatterProfile":
-        normed = tuple(ProfileSample(int(t), int(v), bool(e)) for t, v, e in samples)
+        normed = []
+        for sample in samples:
+            try:
+                t, v, e = sample
+            except (TypeError, ValueError):
+                raise ShapeError(
+                    f"sample {sample!r} is not a (t, value, exact) triple"
+                ) from None
+            for x in (t, v):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ShapeError(f"sample {sample!r}: {x!r} is not an integer")
+            normed.append(ProfileSample(t, v, bool(e)))
         for prev, cur in zip(normed, normed[1:]):
             if cur.t <= prev.t:
                 raise PreconditionError("sample t values must be strictly increasing")
@@ -42,7 +53,7 @@ class ShatterProfile:
                 raise RangeError("samples must be nonnegative")
             if s.value > 1 << s.t:
                 raise PreconditionError(f"value {s.value} exceeds 2^{s.t}")
-        return cls(normed, source)
+        return cls(tuple(normed), source)
 
     @classmethod
     def from_csv(cls, text: str, source: str = "") -> "ShatterProfile":

@@ -16,6 +16,7 @@ maps live in setsystem and are re-exported here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -154,15 +155,17 @@ class FormulaSet:
         return self.relations[0].y_size
 
 
-def _stacked(delta: FormulaSet):
+@functools.lru_cache(maxsize=1)
+def _stacked(delta: FormulaSet) -> tuple:
     """Each x's rows of all relations side by side, relation k's row
     shifted by k*y, and the spread that repeats a parameter mask once per
-    relation, so that ``row & A*spread`` is x's signature over A."""
+    relation, so that ``row & A*spread`` is x's signature over A.
+    Memoised for the last formula set, which is an immutable value."""
     y = delta.y_size
-    rows = [
+    rows = tuple(
         sum(row << k * y for k, row in enumerate(xrows))
         for xrows in zip(*(rel.rows for rel in delta.relations))
-    ]
+    )
     return rows, sum(1 << k * y for k in range(len(delta.relations)))
 
 

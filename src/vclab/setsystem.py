@@ -25,11 +25,14 @@ counted by partition refinement: ``_refine`` splits blocks of members
 (member bitsets) by an element's column, for pi and the dual pi* in
 ``max_traces`` and for the shattering test of ``vc_dimension``.
 ``transpose`` is the one bit-matrix transpose behind every dual and
-every column.
+every column.  The part of ``max_traces`` that does not depend on t
+(dedupe, transpose, pairing of columns) is memoised for the last input,
+keyed by its value, so a profile of pi or pi* over a t-range sets up once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -238,13 +241,29 @@ def _refine(blocks, col: int) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _trace_setup(masks: tuple, n: int, spread: int) -> tuple:
+    """The part of ``max_traces`` that does not depend on t: the number of
+    distinct masks, and for each element x its columns over the distinct
+    masks in their first order, as (the columns at x + s for the bits s of
+    spread but the last, the column at x + the last bit)."""
+    masks = list(dict.fromkeys(masks))
+    *init, top = indices_of_mask(spread)
+    columns = transpose(masks, n + top)
+    # the last column stands apart, as a leaf only counts the blocks that
+    # split on it
+    inits = list(zip(*[columns[s : s + n] for s in init])) or [()] * n
+    return len(masks), tuple(zip(inits, columns[top:]))
+
+
 def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
     """The largest number of distinct ``m & A*spread`` over the masks m,
     for A ranging over the t-subsets of {0..n-1}.
 
     With spread 1 this is pi(t) of the family; a spread of several bits
     repeats A once per bit, so that A picks the same columns out of each
-    block of a stacked row.  Errors out when C(n,t) exceeds the budget.
+    block of a stacked row.  Errors out when C(n,t) exceeds the budget,
+    before any other work.
 
     The distinct masks are partitioned by their trace on A, each block a
     bitset over the masks; adding an element to A splits every block by
@@ -254,6 +273,11 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
     is skipped when its blocks times 2^(elements left * bits of spread)
     cannot beat the best count, and the walk stops at the most there can
     be: the number of distinct masks, or 2^(t * bits of spread).
+
+    The set-up (dedupe, transpose, and the pairing of each element's
+    columns) depends only on (masks, n, spread) and is memoised for the
+    last such input, so a loop over t on one input sets up once; the
+    inputs are immutable values, so the memo cannot go stale.
     """
     budget = resolve_budget(budget)
     if math.comb(n, t) > budget:
@@ -261,21 +285,16 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
             f"C({n},{t}) exceeds the enumeration budget {budget}",
             lower_bound=None,
         )
-    masks = list(dict.fromkeys(masks))  # distinct, in their first order
+    masks = tuple(masks)
     if not masks or t == 0:  # no traces, or the one empty trace
         return min(len(masks), 1)
+    distinct, cols = _trace_setup(masks, n, spread)
     bits = spread.bit_count()
-    cap = min(len(masks), 1 << t * bits)
-    *init, top = indices_of_mask(spread)
-    columns = transpose(masks, n + top)
-    # element x's columns are those at x + s for the bits s of spread; the
-    # last stands apart, as a leaf only counts the blocks that split on it
-    inits = list(zip(*[columns[s : s + n] for s in init])) or [()] * n
-    cols = list(zip(inits, columns[top:]))
+    cap = min(distinct, 1 << t * bits)
     best = 0
     # frames (partition by the chosen elements, next element to try); a
     # frame with d elements chosen has d frames below it on the stack
-    stack = [([(1 << len(masks)) - 1], 0)]
+    stack = [([(1 << distinct) - 1], 0)]
     while stack:
         blocks, x = stack.pop()
         left = t - len(stack)  # elements still to choose, x included

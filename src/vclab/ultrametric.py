@@ -57,7 +57,10 @@ class UltrametricSpace:
     def of(cls, p: int, depth: int, elements) -> "UltrametricSpace":
         if p < 2 or depth < 1:
             raise RangeError("need p >= 2 and depth >= 1")
-        elems = sorted(set(elements))
+        elems = list(elements)
+        if not all(isinstance(e, str) for e in elems):
+            raise ShapeError("elements must be digit strings")
+        elems = sorted(set(elems))
         for e in elems:
             if len(e) != depth or any(not ("0" <= ch < chr(ord("0") + p)) for ch in e):
                 raise ShapeError(f"element {e!r} is not a depth-{depth} p={p} string")
@@ -72,10 +75,7 @@ class UltrametricSpace:
         p, depth = json_field(data, "p", int), json_field(data, "depth", int)
         if data.get("elements") == "all":
             return cls.full(p, depth)
-        elements = json_field(data, "elements", list)
-        if not all(isinstance(e, str) for e in elements):
-            raise ShapeError("elements must be digit strings")
-        return cls.of(p, depth, elements)
+        return cls.of(p, depth, json_field(data, "elements", list))
 
     def to_json(self) -> dict:
         full = UltrametricSpace.full(self.p, self.depth)

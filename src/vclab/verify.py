@@ -65,7 +65,7 @@ def suite_sauer(seed: int = 0, budget=None):
     cases = []
     for i in range(20):
         system = random_system(rng, n_max=10, m_max=30)
-        d = vc_dimension(system)
+        d = vc_dimension(system, budget=budget)
         ok = True
         worst = None
         for t in range(system.ground_size + 1):
@@ -106,8 +106,8 @@ def suite_duality(seed: int = 0, budget=None):
                 ok,
             )
         )
-        va = vc_dimension(system_of(rel))
-        vb = vc_dimension(system_of(dual))
+        va = vc_dimension(system_of(rel), budget=budget)
+        vb = vc_dimension(system_of(dual), budget=budget)
         ok2 = va < 2 ** (1 + max(vb, 0)) if va >= 0 else True
         cases.append(
             VerificationCase.check(
@@ -126,8 +126,8 @@ def suite_breadth_ind(seed: int = 0, budget=None):
     cases = []
     for i in range(15):
         system = random_system(rng, n_max=8, m_max=10)
-        b = breadth(system)
-        ind = independence_dimension(system)
+        b = breadth(system, budget=budget)
+        ind = independence_dimension(system, budget=budget)
         cases.append(
             VerificationCase.check(
                 f"breadth-ind-{i}",
@@ -144,8 +144,8 @@ def suite_poizat(seed: int = 0, budget=None):
     cases = []
     for n in range(2, 25):
         system = gens.gen_subgroups_zn(n)
-        b = breadth(system)
-        ind = independence_dimension(system)
+        b = breadth(system, budget=budget)
+        ind = independence_dimension(system, budget=budget)
         cases.append(
             VerificationCase.check(
                 f"poizat-z{n}",
@@ -260,7 +260,7 @@ def suite_incidence(seed: int = 0, budget=None):
                 rel.count_pairs() == q**3,
             )
         )
-        witness = gens.detect_krs(rel, 2, 2)
+        witness = gens.detect_krs(rel, 2, 2, budget=budget)
         cases.append(
             VerificationCase.check(
                 f"fq-k22-q={q}",
@@ -329,7 +329,7 @@ def suite_balls(seed: int = 0, budget=None):
     )
     balls = [space4.ball(e, rng.randint(0, 4)) for e in rng.sample(space4.elements, 6)]
     system = um.ball_family_system(space4, balls)
-    b = breadth(system)
+    b = breadth(system, budget=budget)
     cases.append(
         VerificationCase.check(
             "ball-breadth",

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +125,68 @@ def test_shatter_budget_strict(tmp_path, capsys):
     assert main(["--budget", "10", "shatter", path, "--t", "7"]) == 0
 
 
+OMITTED = "".join(
+    f"t={t}: C(6,{t}) exceeds the enumeration budget 10; row omitted\n"
+    for t in (2, 3, 4)
+)
+
+
+@pytest.mark.parametrize(
+    "sub, obj, rows",
+    [
+        ("shatter", gen_intervals(6, 1).to_json(), ["0,1,1", "1,2,1", "5,16,1", "6,22,1"]),
+        (
+            "dual-shatter",
+            {"x_size": 4, "y_size": 6, "rows": ["110000", "011100", "001110", "100011"]},
+            ["0,1,1", "1,2,1", "5,4,1", "6,4,1"],
+        ),
+    ],
+)
+def test_budget_omits_the_middle_rows(tmp_path, capsys, sub, obj, rows):
+    # C(6,t) > 10 exactly for t = 2, 3, 4: each is refused before any set-up
+    path = write_json(tmp_path, "in.json", obj)
+    assert main(["--budget", "10", sub, path, "--t", "0..6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "\n".join(["t,value,exact", *rows]) + "\n"
+    assert captured.err == OMITTED
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def test_calls_in_one_process_match_lone_calls(tmp_path, capsys, monkeypatch):
+    """The parser is shared by the calls of one process: no option, default
+    or message may carry over from one call to the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+    system = write_json(tmp_path, "sys.json", gen_intervals(6, 1).to_json())
+    rel = write_json(
+        tmp_path, "rel.json", {"x_size": 3, "y_size": 3, "rows": ["110", "011", "101"]}
+    )
+    calls = [
+        ["--budget", "1", "shatter", system, "--t", "0..3"],
+        ["shatter", system, "--t", "0..3"],
+        ["shatter", system, "--mode", "nope", "--t", "1"],
+        ["dual-shatter", rel, "--t", "0..3"],
+    ]
+    in_process = [_outcome(argv, capsys) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for argv, got in zip(calls, in_process):
+        lone = subprocess.run(
+            [sys.executable, "-m", "vclab.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert got == (lone.stdout, lone.stderr, lone.returncode), argv
+    assert in_process[0][1].count("row omitted") == 3
+    assert in_process[1][1] == ""
+    assert in_process[2][2] == 2 and "invalid choice" in in_process[2][1]
+
+
 def test_dual_shatter(tmp_path, capsys):
     rel = {"x_size": 3, "y_size": 3, "rows": ["110", "011", "101"]}
     path = write_json(tmp_path, "rel.json", rel)
@@ -135,6 +200,16 @@ def test_verify_known_suite(capsys):
     assert main(["verify", "--suite", "balls"]) == 0
     out = capsys.readouterr().out
     assert "cases passed" in out
+
+
+@pytest.mark.parametrize(
+    "suite", ["sauer", "duality", "breadth-ind", "poizat", "incidence", "balls"]
+)
+def test_verify_budget_reaches_every_search(capsys, suite):
+    assert main(["--budget", "0", "verify", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert "cases passed" not in captured.out
+    assert captured.err.startswith("error: ")
 
 
 def test_verify_unknown_suite(capsys):

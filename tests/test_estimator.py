@@ -5,6 +5,7 @@ import pytest
 from vclab import (
     PreconditionError,
     RangeError,
+    ShapeError,
     ShatterProfile,
     classify_growth,
     fit_exponent,
@@ -32,6 +33,16 @@ def test_negative_samples_are_a_range_error():
         ShatterProfile.of([(-1, 0, True)])
     with pytest.raises(RangeError):
         ShatterProfile.of([(3, -1, True)])
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [("a", 1, True), (1, 2), (0, 1.5, True), (True, 1, True), 7],
+    ids=["string-t", "pair", "float-value", "bool-t", "not-a-sequence"],
+)
+def test_malformed_samples_are_a_shape_error(sample):
+    with pytest.raises(ShapeError):
+        ShatterProfile.of([sample])
 
 
 @pytest.mark.parametrize("row", ["0,1", "0,1,1,1", "0,x,1", "0,1.5,1"])

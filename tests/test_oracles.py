@@ -235,6 +235,21 @@ def test_dual_shatter_matches_oracle(delta, t, budget):
         assert dual_shatter(delta, t, budget=budget).value == dual_pi_oracle(delta, t)
 
 
+@given(systems=st.lists(small_systems(), min_size=2, max_size=2),
+       deltas=st.lists(formula_sets(), min_size=2, max_size=2))
+def test_profiles_interleaved_over_two_inputs_match_oracle(systems, deltas):
+    """pi and pi* profiles taken in step over two inputs each (A, B, A, ...
+    for every t), so that the memoised set-up of the last input is
+    replaced at every call."""
+    for t in range(MAX_GROUND + 1):
+        for system in systems:
+            if t <= system.ground_size:
+                assert shatter_function(system, t).value == pi_oracle(system, t)
+        for delta in deltas:
+            if t <= delta.y_size:
+                assert dual_shatter(delta, t).value == dual_pi_oracle(delta, t)
+
+
 # With many members the most traces there can be, min(|S|, 2^t), is
 # seldom reached, so the search's prune decides more than its early exit.
 @given(data=st.data())

@@ -63,6 +63,12 @@ def test_space_validation():
         UltrametricSpace.of(2, 3, [])
 
 
+@pytest.mark.parametrize("element", [1, b"011", None])
+def test_space_of_rejects_elements_that_are_not_strings(element):
+    with pytest.raises(ShapeError):
+        UltrametricSpace.of(2, 3, ["000", element])
+
+
 def test_valuation():
     space = UltrametricSpace.full(2, 4)
     assert space.valuation("0000", "0011") == 2
