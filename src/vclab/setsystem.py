@@ -28,6 +28,12 @@ counted by partition refinement: ``_refine`` splits blocks of members
 every column.  The part of ``max_traces`` that does not depend on t
 (dedupe, transpose, pairing of columns) is memoised for the last input,
 keyed by its value, so a profile of pi or pi* over a t-range sets up once.
+With it ``max_traces`` keeps the one fact its counts prove about the VC
+dimension d of a single family (one bit of spread): a count below 2^t
+gives d <= t - 1, and later walks on that input stop at the Sauer-Shelah
+bound.  At its last element a walk also skips a frame whose blocks
+cannot beat the best count, a block of one member giving one trace.
+Both caps bound the count, so no value changes.
 """
 
 from __future__ import annotations
@@ -244,16 +250,18 @@ def _refine(blocks, col: int) -> list:
 @functools.lru_cache(maxsize=1)
 def _trace_setup(masks: tuple, n: int, spread: int) -> tuple:
     """The part of ``max_traces`` that does not depend on t: the number of
-    distinct masks, and for each element x its columns over the distinct
-    masks in their first order, as (the columns at x + s for the bits s of
-    spread but the last, the column at x + the last bit)."""
+    distinct masks, for each element x its columns over the distinct masks
+    in their first order, as (the columns at x + s for the bits s of
+    spread but the last, the column at x + the last bit), and a one-slot
+    list holding an upper bound on the VC dimension of the masks that
+    ``max_traces`` learns from its counts (n until one is learned)."""
     masks = list(dict.fromkeys(masks))
     *init, top = indices_of_mask(spread)
     columns = transpose(masks, n + top)
     # the last column stands apart, as a leaf only counts the blocks that
     # split on it
     inits = list(zip(*[columns[s : s + n] for s in init])) or [()] * n
-    return len(masks), tuple(zip(inits, columns[top:]))
+    return len(masks), tuple(zip(inits, columns[top:])), [n]
 
 
 def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
@@ -274,10 +282,24 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
     cannot beat the best count, and the walk stops at the most there can
     be: the number of distinct masks, or 2^(t * bits of spread).
 
+    Two more caps are exact.  A block of one member cannot split, so with
+    one element left a frame of k blocks, ``lone`` of them of one member,
+    gives at most k * 2^bits - lone * (2^bits - 1) traces, and is skipped
+    when that cannot beat the best count.  With one bit of spread the
+    walk also stops at the Sauer-Shelah bound sum_{i <= d} C(t, i), for d
+    an upper bound on the VC dimension of the masks (Sauer 1972; Shelah
+    1972).  Nothing computes d: a finished walk whose count is below 2^t
+    proves that no t-set is shattered, so d <= t - 1, and the memo of the
+    set-up keeps the least such bound for later calls on the same input.
+    A profile over increasing t is so capped from its first count below
+    2^t on.  With several bits nothing is learned: a count below
+    2^(t * bits) bounds no VC dimension.
+
     The set-up (dedupe, transpose, and the pairing of each element's
     columns) depends only on (masks, n, spread) and is memoised for the
-    last such input, so a loop over t on one input sets up once; the
-    inputs are immutable values, so the memo cannot go stale.
+    last such input, with the learned bound, so a loop over t on one input
+    sets up once; the inputs are immutable values, so the memo cannot go
+    stale.
     """
     budget = resolve_budget(budget)
     if math.comb(n, t) > budget:
@@ -288,12 +310,19 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
     masks = tuple(masks)
     if not masks or t == 0:  # no traces, or the one empty trace
         return min(len(masks), 1)
-    distinct, cols = _trace_setup(masks, n, spread)
+    distinct, cols, vc = _trace_setup(masks, n, spread)
     bits = spread.bit_count()
     cap = min(distinct, 1 << t * bits)
+    # vc[0] bounds the VC dimension; it is n, which caps nothing, until a
+    # count with one bit of spread falls below 2^t.  Above d the
+    # Sauer-Shelah sum is at least C(t, d) + C(t, d - 1) = C(t + 1, d), so
+    # only a cap above that can fall
+    d = vc[0]
+    if d < t and math.comb(t + 1, d) < cap:
+        cap = min(cap, sauer_shelah_bound(t, d))
     best = 0
     # frames (partition by the chosen elements, next element to try); a
-    # frame with d elements chosen has d frames below it on the stack
+    # frame with k elements chosen has k frames below it on the stack
     stack = [([(1 << distinct) - 1], 0)]
     while stack:
         blocks, x = stack.pop()
@@ -307,6 +336,14 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
                 blocks = _refine(blocks, col)
             stack.append((_refine(blocks, last), x + 1))
             continue
+        # a block of one member cannot split, so it gives one trace, not
+        # 2^bits.  The bound is at least len(blocks), so it can prune only
+        # when that is at most best; with one leaf left, counting the
+        # blocks costs about what the leaf it could skip costs
+        if len(blocks) <= best and x < n - 1:
+            lone = list(map(int.bit_count, blocks)).count(1)
+            if (len(blocks) << bits) - lone * ((1 << bits) - 1) <= best:
+                continue
         for init, last in cols[x:]:
             leaf = blocks
             for col in init:
@@ -317,8 +354,12 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
                     count += 1
             if count > best:
                 best = count
-                if best == cap:
-                    return best
+                if best == cap:  # no count can beat it: end the walk
+                    stack.clear()
+                    break
+    # no t-set is shattered: the VC dimension is at most t - 1
+    if t <= d and best < 1 << t and bits == 1:
+        vc[0] = t - 1
     return best
 
 
@@ -339,26 +380,30 @@ def shatter_function(
 
     Exact mode enumerates all C(n,t) subsets and errors out when that
     exceeds the budget.  Sample mode draws random t-subsets and returns
-    the best value found, flagged as a lower bound.
+    the best value found, flagged as a lower bound; it stops drawing once
+    the value is min(|S|, 2^t), which no t-subset can beat.
     """
     n = system.ground_size
     if t < 0 or t > n:
         raise RangeError(f"t={t} out of range 0..{n}")
+    if mode not in ("exact", "sample"):
+        raise RangeError(f"unknown mode {mode!r}")
     if not system.members:
         return ShatterValue(0, "exact")
     if t == 0:
         return ShatterValue(1, "exact")
     if mode == "exact":
         return ShatterValue(max_traces(system.members, n, t, budget), "exact")
-    if mode == "sample":
-        rng = random.Random(seed)
-        best = 0
-        universe = list(range(n))
-        for _ in range(samples):
-            a = mask_from_indices(rng.sample(universe, t))
-            best = max(best, trace_count(system, a))
-        return ShatterValue(best, "lower_bound")
-    raise RangeError(f"unknown mode {mode!r}")
+    rng = random.Random(seed)
+    best = 0
+    most = min(len(system.members), 1 << t)
+    universe = list(range(n))
+    for _ in range(samples):
+        a = mask_from_indices(rng.sample(universe, t))
+        best = max(best, trace_count(system, a))
+        if best == most:
+            break
+    return ShatterValue(best, "lower_bound")
 
 
 def sauer_shelah_bound(n: int, d: int) -> int:

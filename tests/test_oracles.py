@@ -41,7 +41,8 @@ from vclab import (
     shatter_function,
     vc_dimension,
 )
-from vclab.relations import dual_system
+from vclab.relations import _stacked, dual_system
+from vclab.setsystem import _trace_setup
 
 
 @st.composite
@@ -248,6 +249,75 @@ def test_profiles_interleaved_over_two_inputs_match_oracle(systems, deltas):
         for delta in deltas:
             if t <= delta.y_size:
                 assert dual_shatter(delta, t).value == dual_pi_oracle(delta, t)
+
+
+def check_caps(n, first, order, check, learned):
+    """``check(t)`` at a large t (``first`` picks it from n // 2..n), then
+    at t = 0..n up, then at the t <= n in ``order``.  The first call has
+    learned nothing about the input; the rising profile learns its bound
+    on the VC dimension, which ``learned()`` checks in the memoised
+    set-up; the shuffled calls start from it.  The walks also meet the
+    lone-member bound at their frames with one element left."""
+    for t in [n // 2 + first % (n - n // 2 + 1), *range(n + 1)]:
+        check(t)
+    learned()
+    for t in order:
+        if t <= n:
+            check(t)
+
+
+firsts = st.integers(0, MAX_GROUND)
+orders = st.permutations(range(MAX_GROUND + 1))
+
+
+# The rows of the first relation, as members over the parameters, are the
+# input of pi, and pi of them is pi* of that relation alone.  Few objects
+# over the parameters leave most blocks of the walk with one member after
+# the first elements, so the leaf frames meet lone blocks.
+@given(delta=formula_sets(x_max=6, y_max=MAX_GROUND), first=firsts, order=orders)
+def test_shatter_caps_match_oracle(delta, first, order):
+    system = SetSystem.from_masks(delta.y_size, delta.relations[0].rows)
+    n = system.ground_size
+
+    def check(t):
+        assert shatter_function(system, t).value == pi_oracle(system, t), t
+
+    def learned():
+        # with one bit of spread, a count below 2^t proves that the VC
+        # dimension is below t, so the first such t of a profile gives it
+        if system.members and n:
+            assert _trace_setup(system.members, n, 1)[2] == [vc_oracle(system)]
+
+    check_caps(n, first, order, check, learned)
+
+
+# two relations at t = 2: parameter 0 with any other gives 4 types; after
+# parameter 1 the blocks hold 1, 3 and 1 objects, and the 3 split into 3
+# types on parameter 2, which a bound of 2 traces per block, not
+# 2^relations, would rule out
+@example(
+    delta=FormulaSet.of([BiRelation.from_rows(5, 4, [6, 1, 1, 4, 0]),
+                         BiRelation.from_rows(5, 4, [14, 5, 2, 4, 0])]),
+    first=0, order=[2],
+)
+@given(delta=formula_sets(x_max=6, y_max=MAX_GROUND), first=firsts, order=orders)
+def test_dual_shatter_caps_match_oracle(delta, first, order):
+    y = delta.y_size
+
+    def check(t):
+        assert dual_shatter(delta, t).value == dual_pi_oracle(delta, t), t
+
+    def learned():
+        # one relation: pi* is pi of its rows; several: a count below
+        # 2^(t * relations) bounds no VC dimension, so nothing is learned
+        rows, spread = _stacked(delta)
+        if rows and y:
+            rel = delta.relations[0]
+            vc = vc_oracle(SetSystem.from_masks(y, rel.rows))
+            expect = vc if len(delta.relations) == 1 else y
+            assert _trace_setup(rows, y, spread)[2] == [expect]
+
+    check_caps(y, first, order, check, learned)
 
 
 # With many members the most traces there can be, min(|S|, 2^t), is

@@ -135,6 +135,19 @@ def test_plane_shatter_and_dual_shatter(q):
         assert dual_shatter(delta, t) == (expected, "exact")
 
 
+def test_dual_shatter_profile_of_the_f7_plane():
+    # pi*(t) = 1 + t + C(t, 2), below 2^t from t = 3 on: one relation
+    # learns VC <= 2 there, and the walks at t = 4 and 5 stop at the
+    # Sauer-Shelah bound instead of searching all C(49, t) sets of lines
+    rel = gen_pointline_fq(7)
+    delta = FormulaSet.of([rel])
+    assert [dual_shatter(delta, t).value for t in range(1, 6)] == [2, 4, 7, 11, 16]
+    # with its complement the types are the same, but two relations learn
+    # nothing: the lone-member bound at the leaves prunes
+    delta = FormulaSet.of([rel, boolean_combine(rel, op="not")])
+    assert [dual_shatter(delta, t).value for t in range(1, 4)] == [2, 4, 7]
+
+
 def test_dual_shatter_range_check():
     delta = FormulaSet.of([BiRelation.from_rows(2, 2, [1, 2])])
     with pytest.raises(RangeError):

@@ -23,6 +23,7 @@ from vclab import (
     trace,
     vc_dimension,
 )
+from vclab import setsystem
 from vclab.generators import gen_halfspaces, gen_intervals, gen_subsets_at_most_d
 from vclab.setsystem import (
     indices_of_mask,
@@ -144,6 +145,24 @@ def test_shatter_empty_family_and_t_zero():
     assert shatter_function(system, 0) == (1, "exact")
 
 
+def test_shatter_profile_of_intervals16():
+    # unions of 2 intervals: pi(t) = sum_{i <= 4} C(t, i), below 2^t from
+    # t = 5 on, which bounds the VC dimension by 4 for the later walks
+    system = gen_intervals(16, 2)
+    values = [shatter_function(system, t).value for t in range(1, 13)]
+    assert values == [sauer_shelah_bound(t, min(t, 4)) for t in range(1, 13)]
+    assert values[-1] == 794
+
+
+@pytest.mark.parametrize("system", [SetSystem.from_masks(3, []), gen_intervals(4, 1)])
+def test_shatter_rejects_an_unknown_mode_on_every_path(system):
+    # the empty family and t = 0 are answered without a search, after the
+    # mode is checked
+    for t in (0, 2):
+        with pytest.raises(RangeError, match="unknown mode"):
+            shatter_function(system, t, mode="bogus")
+
+
 def test_shatter_range_check():
     system = gen_intervals(4, 1)
     with pytest.raises(RangeError):
@@ -162,6 +181,26 @@ def test_shatter_sample_mode_is_a_lower_bound():
     sampled = shatter_function(system, 4, mode="sample", samples=50, seed=3)
     assert sampled.exactness == "lower_bound"
     assert sampled.value <= exact.value
+
+
+def test_shatter_sample_mode_stops_at_the_most_traces(monkeypatch):
+    calls = []
+
+    def counting(system, subset_mask):
+        calls.append(subset_mask)
+        return trace_count(system, subset_mask)
+
+    monkeypatch.setattr(setsystem, "trace_count", counting)
+    system = gen_intervals(13, 2)
+    # 2^4 traces, the most there can be, is reached long before the last
+    # draw; at t = 6 the best is below 2^6 and every draw is made
+    sampled = shatter_function(system, 4, mode="sample", samples=2000)
+    assert sampled == (16, "lower_bound")
+    assert len(calls) < 2000
+    calls.clear()
+    sampled = shatter_function(system, 6, mode="sample", samples=50)
+    assert sampled.value <= shatter_function(system, 6).value < 1 << 6
+    assert len(calls) == 50
 
 
 def test_sauer_shelah_bound_values():
