@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import generators as gens
+from .config import resolve_budget
 from .errors import BudgetExceededError, ShapeError, VcLabError
 from .relations import BiRelation, FormulaSet, dual_shatter, system_of
 from .setsystem import (
@@ -123,11 +124,12 @@ def _load_system(path) -> SetSystem:
 
 def cmd_invariants(args) -> int:
     system = _load_system(args.input)
+    budget = resolve_budget(args.budget)
     report = {"member_count": len(system.members), "exactness": {}}
     for key, fn in (
-        ("vc_dim", lambda: vc_dimension(system, budget=args.budget)),
-        ("ind_dim", lambda: independence_dimension(system, budget=args.budget)),
-        ("breadth", lambda: breadth(system, budget=args.budget)),
+        ("vc_dim", lambda: vc_dimension(system, budget=budget)),
+        ("ind_dim", lambda: independence_dimension(system, budget=budget)),
+        ("breadth", lambda: breadth(system, budget=budget)),
         ("helly", lambda: helly_number(system)),
     ):
         try:
@@ -167,13 +169,16 @@ def cmd_shatter(args, dual: bool = False) -> int:
     if not (0 <= lo <= hi <= size_limit):
         print(f"t range {lo}..{hi} outside 0..{size_limit}", file=sys.stderr)
         return 2
+    # read once here, so every row, t = 0 and sample mode included, sees
+    # the same budget and a malformed one fails the command
+    budget = resolve_budget(args.budget)
     for t in range(lo, hi + 1):
         try:
             if dual:
-                res = dual_shatter(delta, t, budget=args.budget)
+                res = dual_shatter(delta, t, budget=budget)
             else:
                 res = shatter_function(
-                    system, t, mode=args.mode, budget=args.budget, seed=args.seed
+                    system, t, mode=args.mode, budget=budget, seed=args.seed
                 )
             samples.append((t, res.value, res.exactness == "exact"))
         except BudgetExceededError as exc:

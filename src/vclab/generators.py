@@ -37,8 +37,19 @@ def gen_intervals(n_points: int, k: int) -> SetSystem:
     consecutive points (the trace of unions of k intervals on the line)."""
     if n_points < 1 or k < 1:
         raise RangeError("need n_points >= 1 and k >= 1")
-    # a run starts at each bit set whose lower neighbour is clear
-    masks = [m for m in range(1 << n_points) if (m & ~(m << 1)).bit_count() <= k]
+    # the sets of r runs, as (mask, lowest start of a next run), extend to
+    # those of r + 1 by a run [s, e) that leaves a gap above the last one;
+    # n points hold at most ceil(n/2) runs
+    masks = [0]
+    frontier = [(0, 0)]
+    for _ in range(min(k, (n_points + 1) // 2)):
+        frontier = [
+            (mask | ((1 << e) - (1 << s)), e + 1)
+            for mask, low in frontier
+            for s in range(low, n_points)
+            for e in range(s + 1, n_points + 1)
+        ]
+        masks += [mask for mask, _ in frontier]
     return SetSystem.from_masks(n_points, masks)
 
 

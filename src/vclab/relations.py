@@ -121,6 +121,10 @@ def relation_of(system: SetSystem) -> BiRelation:
 
 @dataclass(frozen=True)
 class FormulaSet:
+    """A nonempty list of relations on the same X x Y.  Its ``_stacked``
+    rows, which pi* and type counts read, are built on first use and kept
+    on the instance."""
+
     relations: tuple  # nonempty tuple of BiRelations sharing both sizes
 
     @classmethod
@@ -154,19 +158,18 @@ class FormulaSet:
     def y_size(self):
         return self.relations[0].y_size
 
-
-@functools.lru_cache(maxsize=1)
-def _stacked(delta: FormulaSet) -> tuple:
-    """Each x's rows of all relations side by side, relation k's row
-    shifted by k*y, and the spread that repeats a parameter mask once per
-    relation, so that ``row & A*spread`` is x's signature over A.
-    Memoised for the last formula set, which is an immutable value."""
-    y = delta.y_size
-    rows = tuple(
-        sum(row << k * y for k, row in enumerate(xrows))
-        for xrows in zip(*(rel.rows for rel in delta.relations))
-    )
-    return rows, sum(1 << k * y for k in range(len(delta.relations)))
+    @functools.cached_property
+    def _stacked(self) -> tuple:
+        """Each x's rows of all relations side by side, relation k's row
+        shifted by k*y, and the spread that repeats a parameter mask once
+        per relation, so that ``row & A*spread`` is x's signature over A.
+        Kept on the instance, an immutable value, after the first use."""
+        y = self.y_size
+        rows = tuple(
+            sum(row << k * y for k, row in enumerate(xrows))
+            for xrows in zip(*(rel.rows for rel in self.relations))
+        )
+        return rows, sum(1 << k * y for k in range(len(self.relations)))
 
 
 def count_types(delta: FormulaSet, params) -> int:
@@ -176,16 +179,20 @@ def count_types(delta: FormulaSet, params) -> int:
     for b in params:
         if not (0 <= b < delta.y_size):
             raise RangeError(f"parameter index {b} out of range")
-    rows, spread = _stacked(delta)
+    rows, spread = delta._stacked
     a = mask_from_indices(params) * spread
     return len({row & a for row in rows})
 
 
 def dual_shatter(delta: FormulaSet, t: int, budget=None) -> ShatterValue:
-    """pi*_Delta(t): max of count_types over t-subsets of parameters."""
+    """pi*_Delta(t): max of count_types over t-subsets of parameters.
+
+    Walks the formula set's ``_stacked`` rows, which the instance keeps
+    after the first call, so a profile over t stacks once and never hashes
+    the formula set."""
     if t < 0 or t > delta.y_size:
         raise RangeError(f"t={t} out of range 0..{delta.y_size}")
-    rows, spread = _stacked(delta)
+    rows, spread = delta._stacked
     return ShatterValue(max_traces(rows, delta.y_size, t, budget, spread), "exact")
 
 

@@ -11,23 +11,31 @@ function pi(t), VC dimension, the Sauer-Shelah binomial bound,
 independence dimension, breadth, Helly number, chain/star/costar trace
 patterns, and the breadth-duality check for lattices of sets.  Three
 searches compute them.  VC, and IND as VC of the dual, run a level search
-over shattered element sets inside ``vc_dimension``.  Breadth, the Helly
-number and the star and costar patterns ask for k members and k elements
-where member i misses element i and contains the other k - 1 (a
-co-identity submatrix); one depth-first search, ``_cotrace_search``,
-finds them, with a ``meet`` condition on the common part of the chosen
-columns: star, costar and breadth over element sets need none, breadth
-over member sets needs it nonempty and Helly needs it empty.  A chain
-pattern is a ladder (a_i in c_j iff i <= j) of the membership relation,
-found by the depth-first ``_ladder_search``, which also computes
-``relations.ladder_dimension`` from a relation's columns.  Traces are
-counted by partition refinement: ``_refine`` splits blocks of members
-(member bitsets) by an element's column, for pi and the dual pi* in
-``max_traces`` and for the shattering test of ``vc_dimension``.
-``transpose`` is the one bit-matrix transpose behind every dual and
-every column.  The part of ``max_traces`` that does not depend on t
-(dedupe, transpose, pairing of columns) is memoised for the last input,
-keyed by its value, so a profile of pi or pi* over a t-range sets up once.
+over shattered element sets inside ``vc_dimension``.  Each shattered set
+keeps its children as one element bitset, and the candidates of a set
+are the AND of its immediate subsets' child bitsets, above its elements
+(an Apriori join); a budget unit is one candidate tested.  The
+shattering test keeps the candidates whose column splits every block of
+the parent's partition, either candidate by candidate or, when the
+members are fewer than candidates times blocks, all at once: the
+columns that split a block are the union of its members minus their
+intersection.  Breadth, the Helly number and the star and costar
+patterns ask for k members and k elements where member i misses element
+i and contains the other k - 1 (a co-identity submatrix); one
+depth-first search, ``_cotrace_search``, finds them, with a ``meet``
+condition on the common part of the chosen columns: star, costar and
+breadth over element sets need none, breadth over member sets needs it
+nonempty and Helly needs it empty.  A chain pattern is a ladder (a_i in
+c_j iff i <= j) of the membership relation, found by the depth-first
+``_ladder_search``, which also computes ``relations.ladder_dimension``
+from a relation's columns.  Traces are counted by partition refinement:
+``_refine`` splits blocks of members (member bitsets) by an element's
+column, for pi and the dual pi* in ``max_traces`` and for the partitions
+of the shattered sets of ``vc_dimension``.  ``transpose`` is the one
+bit-matrix transpose behind every dual and every column.  The part of
+``max_traces`` that does not depend on t (dedupe, transpose, pairing of
+columns) is memoised for the last input, keyed by its value, so a profile
+of pi or pi* over a t-range sets up once.
 With it ``max_traces`` keeps the one fact its counts prove about the VC
 dimension d of a single family (one bit of spread): a count below 2^t
 gives d <= t - 1, and later walks on that input stop at the Sauer-Shelah
@@ -420,50 +428,102 @@ def vc_dimension(system: SetSystem, budget=None) -> int:
     A shattered d-set has 2^d distinct traces, so d <= floor(log2 |S|)
     (Linial, Mansour and Rivest, 1991), and the search stops at that cap.
     A candidate ``parent | 1 << x`` (x above the parent's elements) is
-    tested only when all its immediate subsets are in the last level; one
-    test costs one budget unit, and on running out BudgetExceededError
-    carries the last full level as bound.
+    tested only when all its immediate subsets are in the last level.
+    Each parent P keeps its shattered children as one bitset, kids[P], of
+    the x above P with P | 1 << x shattered; the candidates of a set Q at
+    the next level are then the x above Q in kids[Q - q] for every q in
+    Q, one AND per element (the Apriori join of Agrawal and Srikant,
+    1994, on bitsets).  A candidate is shattered iff its column splits
+    every block of the parent's partition of the members by trace.  The
+    columns that split a block b are the union of b's members minus
+    their intersection, so the shattered children of a parent are its
+    candidates ANDed with that splitter set over every block, |S| member
+    visits; this test is taken when |S| is below candidates x blocks, the
+    most block tests a candidate-by-candidate loop can make, and that
+    loop otherwise.  One test costs one budget unit; a parent's
+    candidates are charged together before they are tested, and on
+    running out BudgetExceededError carries the last full level as bound.
     """
     if not system.members:
         return -1
     budget = resolve_budget(budget)
+    members = system.members
     n = system.ground_size
-    cols = transpose(system.members, n)
-    cap = len(system.members).bit_length() - 1
-    # the state of a shattered set is the partition of the members by
-    # their traces on it, 2^d blocks; a candidate is shattered iff every
-    # block of its parent's partition splits on the new element's column
-    level = {0: [(1 << len(system.members)) - 1]}
+    cols = transpose(members, n)
+    cap = len(members).bit_length() - 1
+    # a level is its shattered sets in order and, in step, the partition
+    # of the members by their traces on each set's parent, shared by the
+    # parent's children (the empty set carries its own, one block); a
+    # set's own partition, 2^d blocks, is split from it only once the set
+    # has candidates
+    sets, parts = [0], [[(1 << len(members)) - 1]]
+    kids = {}  # parent of the level above -> bitset of its children
     work = 0
     d = 0
     while d < cap:
-        nxt = {}
-        for parent, blocks in level.items():
-            for x in range(parent.bit_length(), n):
-                cand = parent | 1 << x
-                rest = parent
+        # sets of the cap's size are never extended: no partition
+        last = d + 1 == cap
+        next_sets, next_parts = [], []
+        next_kids = {}
+        sets.reverse()
+        parts.reverse()
+        while sets:  # popping each parent frees its share of a partition
+            parent, blocks = sets.pop(), parts.pop()
+            cands = (1 << n) - (1 << parent.bit_length())
+            rest = parent
+            while rest and cands:
+                low = rest & -rest
+                cands &= kids.get(parent ^ low, 0)
+                rest ^= low
+            if not cands:
+                continue
+            if parent:
+                blocks = _refine(blocks, cols[parent.bit_length() - 1])
+            tests = cands.bit_count()
+            work += tests
+            if work > budget:
+                raise BudgetExceededError(
+                    "VC level search exceeded budget", lower_bound=d
+                )
+            if len(members) < tests * len(blocks):
+                # keep the candidates whose column splits every block
+                found = cands
+                for b in blocks:
+                    union, common = 0, -1
+                    while b:
+                        low = b & -b
+                        b ^= low
+                        mask = members[low.bit_length() - 1]
+                        union |= mask
+                        common &= mask
+                    found &= union & ~common
+                    if not found:
+                        break
+            else:
+                found = 0
+                rest = cands
                 while rest:
                     low = rest & -rest
-                    if cand ^ low not in level:
-                        break
                     rest ^= low
-                if rest:
-                    continue
-                work += 1
-                if work > budget:
-                    raise BudgetExceededError(
-                        "VC level search exceeded budget", lower_bound=d
-                    )
-                col = cols[x]
-                for b in blocks:
-                    inside = b & col
-                    if inside == 0 or inside == b:
-                        break
-                else:
-                    nxt[cand] = _refine(blocks, col)
-        if not nxt:
+                    col = cols[low.bit_length() - 1]
+                    for b in blocks:
+                        inside = b & col
+                        if inside == 0 or inside == b:
+                            break
+                    else:
+                        found |= low
+            if not found:
+                continue
+            next_kids[parent] = found
+            rest = found
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                next_sets.append(parent | low)
+                next_parts.append(None if last else blocks)
+        if not next_sets:
             break
-        level = nxt
+        sets, parts, kids = next_sets, next_parts, next_kids
         d += 1
     return d
 

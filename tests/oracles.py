@@ -1,8 +1,10 @@
 """Brute-force reference definitions of VC dimension, independence
-dimension, breadth, the Helly number, the shatter function, the number
-of shattered sets and the chain, star and costar trace patterns, for
-ground sets of at most 6 elements, and of ladder dimension, the dual
-shatter function and type counts for small relations.
+dimension, the budget units of the VC level search, breadth, the Helly
+number, the shatter function, the number of shattered sets and the
+chain, star and costar trace patterns, for ground sets of at most 6
+elements, of ladder dimension, the dual shatter function and type counts
+for small relations, and of the interval families by a scan of all 2^n
+subsets.
 
 Each follows the definition directly and shares no code with the searches
 in ``vclab``, so that the fast paths can be diffed against them.
@@ -66,6 +68,37 @@ def shattered_count_oracle(system):
         for size in range(system.ground_size + 1)
         for a in itertools.combinations(range(system.ground_size), size)
     )
+
+
+def vc_work_oracle(system):
+    """The budget units of the VC level search, per level: for each d below
+    the cap floor(log2 |S|), the number of (d+1)-sets of elements whose
+    d-subsets are all shattered; it stops after the first level with no
+    shattered (d+1)-set.  Empty for the empty family."""
+    _check_small(system)
+    n = system.ground_size
+
+    def shattered(a):
+        return len(_traces(system, a)) == 2 ** len(a)
+
+    counts = []
+    for d in range(len(system.members).bit_length() - 1):
+        cands = [
+            a
+            for a in itertools.combinations(range(n), d + 1)
+            if all(shattered(b) for b in itertools.combinations(a, d))
+        ]
+        counts.append(len(cands))
+        if not any(shattered(a) for a in cands):
+            break
+    return counts
+
+
+def intervals_oracle(n, k):
+    """The masks of the subsets of n ordered points with at most k runs of
+    consecutive points, by a scan of all 2^n subsets; a run starts at each
+    bit set whose lower neighbour is clear."""
+    return [m for m in range(1 << n) if (m & ~(m << 1)).bit_count() <= k]
 
 
 def pi_oracle(system, t):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from vclab import SetSystem, cli
+from vclab import SetSystem, cli, relations
 from vclab.cli import main
 from vclab.generators import gen_intervals, gen_subsets_at_most_d
 
@@ -283,6 +283,49 @@ def test_malformed_budget_variable_is_a_usage_error(tmp_path, capsys, monkeypatc
     monkeypatch.setenv("VCLAB_BUDGET", "lots")
     assert main(["invariants", path]) == 2
     assert "VCLAB_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["shatter", "{path}", "--t", "0..0"], "lots", "VCLAB_BUDGET must be an integer"),
+        (["dual-shatter", "{path}", "--t", "0..0"], "lots", "VCLAB_BUDGET must be an integer"),
+        (["shatter", "{path}", "--t", "1..2", "--mode", "sample"], "-3", "VCLAB_BUDGET must be >= 0"),
+        (["--budget", "-1", "shatter", "{path}", "--t", "0..0"], None, "budget must be >= 0"),
+    ],
+)
+def test_malformed_budget_fails_a_profile_that_runs_no_search(
+    tmp_path, capsys, monkeypatch, argv, env, message
+):
+    # neither the t = 0 row nor sample mode walks t-subsets, yet the command
+    # reads the budget once for all its rows
+    rel = {"x_size": 3, "y_size": 3, "rows": ["110", "011", "101"]}
+    path = write_json(tmp_path, "rel.json", rel)
+    if env is not None:
+        monkeypatch.setenv("VCLAB_BUDGET", env)
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_dual_shatter_reads_the_budget_once(tmp_path, capsys, monkeypatch):
+    # the command resolves the budget and hands every search an int, so no
+    # row goes back to the environment
+    seen = []
+    walk = relations.max_traces
+
+    def spy(masks, n, t, budget=None, spread=1):
+        seen.append(budget)
+        return walk(masks, n, t, budget, spread)
+
+    monkeypatch.setattr(relations, "max_traces", spy)
+    rel = {"x_size": 8, "y_size": 6, "rows": ["110010", "011100", "101011", "000111",
+                                              "111000", "010101", "100110", "001001"]}
+    path = write_json(tmp_path, "rel.json", rel)
+    assert main(["dual-shatter", path, "--t", "0..6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert len(seen) == 7 and None not in seen
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+from oracles import intervals_oracle
 from vclab import (
     BiRelation,
     BudgetExceededError,
     PreconditionError,
     RangeError,
+    SetSystem,
     breadth,
     detect_krs,
     gen_arithmetic_progressions,
@@ -45,6 +47,14 @@ def test_intervals_counts():
         for k in range(1, 4):
             expect = sum(math.comb(n, j) for j in range(min(2 * k, n) + 1))
             assert len(gen_intervals(n, k)) == expect
+
+
+def test_intervals_match_the_subset_scan():
+    # same members in the same order as the scan of all 2^n subsets
+    for n in range(1, 17):
+        for k in sorted({1, 2, 3, (n + 1) // 2, (n + 1) // 2 + 1}):
+            expect = SetSystem.from_masks(n, intervals_oracle(n, k))
+            assert gen_intervals(n, k).members == expect.members
 
 
 def test_halfspaces_general_position_count():

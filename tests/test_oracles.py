@@ -24,6 +24,7 @@ from oracles import (
     trace_pattern_oracle,
     types_oracle,
     vc_oracle,
+    vc_work_oracle,
 )
 from vclab import (
     BiRelation,
@@ -41,7 +42,7 @@ from vclab import (
     shatter_function,
     vc_dimension,
 )
-from vclab.relations import _stacked, dual_system
+from vclab.relations import dual_system
 from vclab.setsystem import _trace_setup
 
 
@@ -164,6 +165,29 @@ def test_vc_at_most_log_member_count(system):
         assert 1 << vc_dimension(system) <= len(system.members)
 
 
+@st.composite
+def shaped_systems(draw):
+    """Systems with fewer distinct members than elements or more, so that
+    the level search meets parents with fewer member visits than block
+    tests and parents with more, for VC and for IND (whose dual swaps
+    members and elements)."""
+    n = draw(st.integers(2, MAX_GROUND))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, n - 1))
+    else:
+        m = draw(st.integers(n + 1, min(1 << n, n + 4)))
+    masks = st.integers(0, (1 << n) - 1)
+    return SetSystem.from_masks(
+        n, draw(st.lists(masks, min_size=m, max_size=m, unique=True))
+    )
+
+
+@given(shaped_systems())
+def test_vc_and_ind_match_oracles_on_wide_and_tall_systems(system):
+    assert vc_dimension(system) == vc_oracle(system)
+    assert independence_dimension(system) == ind_oracle(system)
+
+
 @pytest.mark.parametrize(
     "fn, least",
     [(vc_dimension, 0), (independence_dimension, 0), (breadth, 1)],
@@ -177,6 +201,43 @@ def test_budget_gives_exact_value_or_certified_lower_bound(fn, least, system, bu
         assert least <= exc.lower_bound <= exact
     else:
         assert got == exact
+
+
+def budget_outcome(counts, exact, budget):
+    """What a level search with these units per level gives at a budget:
+    a skip at the first level where the running count exceeds it, with
+    that level as lower bound, or else the exact value."""
+    work = 0
+    for d, count in enumerate(counts):
+        work += count
+        if work > budget:
+            return ("skipped", d)
+    return exact
+
+
+def outcome(fn, system, budget):
+    try:
+        return fn(system, budget=budget)
+    except BudgetExceededError as exc:
+        return ("skipped", exc.lower_bound)
+
+
+@example(SetSystem.from_masks(4, range(16)))
+@example(co_singletons(MAX_GROUND))
+@given(small_systems())
+def test_level_search_spends_the_oracle_budget(system):
+    # one unit per candidate tested, charged level by level: every budget
+    # from 0 to the total + 1 gives the skip or value the oracle predicts
+    searches = [(vc_dimension, system, vc_oracle(system))]
+    if len(system.members) <= MAX_GROUND:
+        searches.append(
+            (independence_dimension, dual_system(system), ind_oracle(system))
+        )
+    for fn, searched, exact in searches:
+        counts = vc_work_oracle(searched)
+        for budget in range(sum(counts) + 2):
+            expected = budget_outcome(counts, exact, budget)
+            assert outcome(fn, system, budget) == expected
 
 
 def test_breadth_reaches_its_cap():
@@ -310,7 +371,7 @@ def test_dual_shatter_caps_match_oracle(delta, first, order):
     def learned():
         # one relation: pi* is pi of its rows; several: a count below
         # 2^(t * relations) bounds no VC dimension, so nothing is learned
-        rows, spread = _stacked(delta)
+        rows, spread = delta._stacked
         if rows and y:
             rel = delta.relations[0]
             vc = vc_oracle(SetSystem.from_masks(y, rel.rows))

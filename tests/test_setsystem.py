@@ -238,10 +238,20 @@ def test_independence_dimension_examples():
 
 @pytest.mark.parametrize(
     "n, budget, outcome",
-    [(6, 300, ("skipped", 1)), (7, 5000, 2), (8, 10000, ("skipped", 1))],
+    [
+        # tuple outcomes take positional ids, so new cases go at the end
+        (6, 300, ("skipped", 1)),
+        (7, 5000, 2),
+        (8, 10000, ("skipped", 1)),
+        (7, 4754, ("skipped", 1)),
+        (7, 4755, 2),
+        (9, None, 3),
+    ],
 )
 def test_independence_dimension_budget_outcomes(n, budget, outcome):
-    # the benchmark's budget-capped jobs and its self-tests rely on these
+    # the benchmark's budget-capped jobs and its self-tests rely on these;
+    # at n = 7 the search spends exactly 4755 units, and n = 9 is exact
+    # within the default budget
     try:
         got = independence_dimension(gen_intervals(n, 2), budget=budget)
     except BudgetExceededError as exc:
