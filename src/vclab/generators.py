@@ -1,12 +1,15 @@
 """Constructors for the example families used throughout the test suites.
 
-All geometry is exact: half-plane traces are computed over rationals via
-candidate boundary lines through point pairs, never with floats.
+All geometry is exact: half-plane traces come from candidate boundary
+lines through point pairs, with every rational point scaled by the least
+common denominator of all coordinates so that the side tests run on
+integers, never on floats.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,11 +56,6 @@ def gen_intervals(n_points: int, k: int) -> SetSystem:
     return SetSystem.from_masks(n_points, masks)
 
 
-def _as_point(p):
-    x, y = p
-    return (Fraction(x), Fraction(y))
-
-
 def gen_halfspaces(points) -> SetSystem:
     """All distinct traces of half-planes on the given rational points,
     plus the full and empty traces.
@@ -70,40 +68,51 @@ def gen_halfspaces(points) -> SetSystem:
     changing its trace, so the enumeration is exhaustive.  Open and closed
     half-planes cut the same traces on a finite point set (nudge the
     boundary), so the traces are those of either.
+
+    Coordinates are taken exactly (as ``Fraction`` takes ints, fractions,
+    ``"p/q"`` strings and floats), then every point is scaled by the least
+    common denominator ``den`` of all of them, so the side tests and the
+    along-line keys run on integers.  Scaling by ``den > 0`` multiplies
+    each of them by ``den**2``, which keeps every sign and every order.
     """
-    pts = [_as_point(p) for p in points]
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
     if len(set(pts)) != len(pts):
         raise PreconditionError("points must be pairwise distinct")
     n = len(pts)
+    den = math.lcm(*(c.denominator for p in pts for c in p))
+    ints = [
+        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for x, y in pts
+    ]
+    bits = [1 << idx for idx in range(n)]
     traces = {0, (1 << n) - 1}
     for i, j in itertools.combinations(range(n), 2):
-        px, py = pts[i]
-        qx, qy = pts[j]
+        px, py = ints[i]
+        qx, qy = ints[j]
         ux, uy = qx - px, qy - py  # along-line direction
-        nx, ny = -uy, ux  # normal
-        c = nx * px + ny * py
+        c = ux * py - uy * px
         pos = 0
         neg = 0
         boundary = []
-        for idx, (x, y) in enumerate(pts):
-            val = nx * x + ny * y
+        for bit, (x, y) in zip(bits, ints):
+            val = ux * y - uy * x
             if val > c:
-                pos |= 1 << idx
+                pos |= bit
             elif val < c:
-                neg |= 1 << idx
+                neg |= bit
             else:
-                boundary.append((ux * x + uy * y, idx))
+                boundary.append((ux * x + uy * y, bit))
         boundary.sort()
-        border_ids = [idx for _, idx in boundary]
-        selections = {0, mask_from_indices(border_ids)}
-        for cut in range(1, len(border_ids)):
-            selections.add(mask_from_indices(border_ids[:cut]))
-            selections.add(mask_from_indices(border_ids[cut:]))
-        for side in (pos, neg):
-            for sel in selections:
-                traces.add(side | sel)
-    if n == 1:
-        traces = {0, 1}
+        # the prefixes of the on-line points in along-line order, by a
+        # running OR; the suffixes are their complements on the line
+        prefixes = [0]
+        for _, bit in boundary:
+            prefixes.append(prefixes[-1] | bit)
+        line = prefixes[-1]
+        selections = prefixes + [line ^ pre for pre in prefixes[1:-1]]
+        for sel in selections:
+            traces.add(pos | sel)
+            traces.add(neg | sel)
     return SetSystem.from_masks(n, traces)
 
 

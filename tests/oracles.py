@@ -3,14 +3,15 @@ dimension, the budget units of the VC level search, breadth, the Helly
 number, the shatter function, the number of shattered sets and the
 chain, star and costar trace patterns, for ground sets of at most 6
 elements, of ladder dimension, the dual shatter function and type counts
-for small relations, and of the interval families by a scan of all 2^n
-subsets.
+for small relations, of the interval families by a scan of all 2^n
+subsets, and of half-plane traces in ``Fraction`` arithmetic.
 
 Each follows the definition directly and shares no code with the searches
 in ``vclab``, so that the fast paths can be diffed against them.
 """
 
 import itertools
+from fractions import Fraction
 
 MAX_GROUND = 6
 
@@ -99,6 +100,50 @@ def intervals_oracle(n, k):
     consecutive points, by a scan of all 2^n subsets; a run starts at each
     bit set whose lower neighbour is clear."""
     return [m for m in range(1 << n) if (m & ~(m << 1)).bit_count() <= k]
+
+
+def _mask(indices):
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def halfspaces_oracle(points):
+    """The masks of the half-plane traces on distinct points, with the
+    full and empty traces: for each line through two points, each open
+    side plus a prefix or suffix of the points on the line in along-line
+    order, every side test and key computed on ``Fraction`` coordinates."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    n = len(pts)
+    traces = {0, (1 << n) - 1}
+    for i, j in itertools.combinations(range(n), 2):
+        px, py = pts[i]
+        qx, qy = pts[j]
+        ux, uy = qx - px, qy - py  # along-line direction
+        nx, ny = -uy, ux  # normal
+        c = nx * px + ny * py
+        pos = 0
+        neg = 0
+        boundary = []
+        for idx, (x, y) in enumerate(pts):
+            val = nx * x + ny * y
+            if val > c:
+                pos |= 1 << idx
+            elif val < c:
+                neg |= 1 << idx
+            else:
+                boundary.append((ux * x + uy * y, idx))
+        boundary.sort()
+        border_ids = [idx for _, idx in boundary]
+        selections = {0, _mask(border_ids)}
+        for cut in range(1, len(border_ids)):
+            selections.add(_mask(border_ids[:cut]))
+            selections.add(_mask(border_ids[cut:]))
+        for side in (pos, neg):
+            for sel in selections:
+                traces.add(side | sel)
+    return traces
 
 
 def pi_oracle(system, t):

@@ -7,7 +7,7 @@ import pytest
 
 from vclab import SetSystem, cli, relations
 from vclab.cli import main
-from vclab.generators import gen_intervals, gen_subsets_at_most_d
+from vclab.generators import gen_halfspaces, gen_intervals, gen_subsets_at_most_d
 
 
 def write_json(tmp_path, name, obj):
@@ -43,6 +43,19 @@ def test_gen_all_families(tmp_path):
         out = str(tmp_path / f"fam{i}.json")
         assert main(cmd + ["--out", out]) == 0
         json.loads(open(out).read())
+
+
+def test_gen_halfspaces_rational_coords(tmp_path):
+    out = str(tmp_path / "h.json")
+    coords = "1/2,1/3;0,1;1,0;-3/4,5/7;0.25,2"
+    assert main(["gen", "--family", "halfspaces", "--coords", coords, "--out", out]) == 0
+    pts = [("1/2", "1/3"), (0, 1), (1, 0), ("-3/4", "5/7"), (0.25, 2)]
+    assert json.loads(open(out).read()) == gen_halfspaces(pts).to_json()
+
+
+def test_gen_halfspaces_equal_points_after_parsing(capsys):
+    assert main(["gen", "--family", "halfspaces", "--coords", "1/2,1;2/4,1"]) == 2
+    assert "points must be pairwise distinct" in capsys.readouterr().err
 
 
 def test_invariants_report(tmp_path, capsys):

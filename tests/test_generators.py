@@ -1,9 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import intervals_oracle
+from oracles import halfspaces_oracle, intervals_oracle
 from vclab import (
     BiRelation,
     BudgetExceededError,
@@ -79,6 +82,55 @@ def test_halfspaces_rational_inputs_and_validation():
 
 def test_halfspaces_single_point():
     assert len(gen_halfspaces([(2, 5)])) == 2
+
+
+def test_halfspaces_no_points():
+    assert gen_halfspaces([]).members == (0,)
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+
+
+def _spellings(c):
+    """The ways a coordinate may be given: as a Fraction, a "p/q" string,
+    a float (exact only for power-of-two denominators) and, when whole,
+    an int."""
+    options = [c, f"{c.numerator}/{c.denominator}", float(c)]
+    if c.denominator == 1:
+        options.append(int(c))
+    return st.sampled_from(options)
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 9 distinct points: some runs of 3 or 4 collinear points
+    (vertical and horizontal lines among them), then random points."""
+    pts = []
+    for _ in range(draw(st.integers(0, 2))):
+        px, py = draw(_rationals), draw(_rationals)
+        dx = draw(st.sampled_from([0, 1, -2, Fraction(1, 2)]))  # 0: vertical
+        dy = draw(_rationals) if dx else draw(st.sampled_from([1, -3]))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=4, unique=True))
+        pts += [(px + t * dx, py + t * dy) for t in steps]
+    pts += draw(st.lists(st.tuples(_rationals, _rationals), max_size=9))
+    pts = draw(st.permutations(list(dict.fromkeys(pts))[:9]))
+    return [(draw(_spellings(x)), draw(_spellings(y))) for x, y in pts]
+
+
+@given(point_sets())
+def test_halfspaces_match_the_fraction_oracle(pts):
+    expect = SetSystem.from_masks(len(pts), halfspaces_oracle(pts))
+    assert gen_halfspaces(pts).members == expect.members
+
+
+@pytest.mark.parametrize(
+    "count, p, size", [(7, 11, 44), (8, 11, 58), (9, 11, 74), (8, 13, 58), (14, 17, 184)]
+)
+def test_halfspaces_on_quadratic_residues_match_the_oracle(count, p, size):
+    pts = [(i, i * i % p) for i in range(count)]
+    system = gen_halfspaces(pts)
+    assert len(system) == size
+    assert system.members == SetSystem.from_masks(count, halfspaces_oracle(pts)).members
 
 
 def test_cosets_zn():
