@@ -12,10 +12,10 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, RangeError, ShapeError
+from .value import Value
 
 
 class ProfileSample(NamedTuple):
@@ -24,10 +24,14 @@ class ProfileSample(NamedTuple):
     exact: bool
 
 
-@dataclass(frozen=True)
-class ShatterProfile:
+class ShatterProfile(Value):
     samples: tuple  # of ProfileSample, t strictly increasing
-    source: str = ""
+    source: str
+
+    def __init__(self, samples, source=""):
+        d = self.__dict__
+        d["samples"] = samples
+        d["source"] = source
 
     @classmethod
     def of(cls, samples, source: str = "") -> "ShatterProfile":

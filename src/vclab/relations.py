@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -42,13 +41,19 @@ from .setsystem import (  # dual_system and pullback are re-exported
     string_to_mask,
     transpose,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BiRelation:
+class BiRelation(Value):
     x_size: int
     y_size: int
     rows: tuple  # x_size ints, each a bit mask of width y_size
+
+    def __init__(self, x_size, y_size, rows):
+        d = self.__dict__
+        d["x_size"] = x_size
+        d["y_size"] = y_size
+        d["rows"] = rows
 
     @classmethod
     def from_rows(cls, x_size: int, y_size: int, rows) -> "BiRelation":
@@ -119,13 +124,15 @@ def relation_of(system: SetSystem) -> BiRelation:
     return BiRelation.from_rows(system.ground_size, len(system.members), rows)
 
 
-@dataclass(frozen=True)
-class FormulaSet:
+class FormulaSet(Value):
     """A nonempty list of relations on the same X x Y.  Its ``_stacked``
     rows, which pi* and type counts read, are built on first use and kept
     on the instance."""
 
     relations: tuple  # nonempty tuple of BiRelations sharing both sizes
+
+    def __init__(self, relations):
+        self.__dict__["relations"] = relations
 
     @classmethod
     def of(cls, relations) -> "FormulaSet":
@@ -237,8 +244,7 @@ def boolean_combine(a: BiRelation, b=None, op: str = "and") -> BiRelation:
     return BiRelation.from_rows(a.x_size, a.y_size, rows)
 
 
-@dataclass(frozen=True)
-class GuardedEncoding:
+class GuardedEncoding(Value):
     """The single relation psi that encodes a formula set Delta of size d.
 
     Parameters of psi are tuples (y_1..y_2d, z, z_1..z_2d) of indices into
@@ -248,6 +254,9 @@ class GuardedEncoding:
     """
 
     delta: FormulaSet
+
+    def __init__(self, delta):
+        self.__dict__["delta"] = delta
 
     @property
     def d(self):

@@ -13,18 +13,23 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, PreconditionError, RangeError, ShapeError
 from .setsystem import SetSystem, indices_of_mask, json_field
+from .value import Value
 
 
-@dataclass(frozen=True)
-class RootedGraph:
+class RootedGraph(Value):
     n_vertices: int
     roots: frozenset
     edges: frozenset  # pairs (i, j) with i < j
+
+    def __init__(self, n_vertices, roots, edges):
+        d = self.__dict__
+        d["n_vertices"] = n_vertices
+        d["roots"] = roots
+        d["edges"] = edges
 
     @classmethod
     def of(cls, n_vertices: int, roots, edges) -> "RootedGraph":

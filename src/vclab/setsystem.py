@@ -51,7 +51,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .config import resolve_budget
@@ -62,6 +61,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
+from .value import Value
 
 
 def mask_to_string(mask: int, width: int) -> str:
@@ -125,13 +125,18 @@ def indices_of_mask(mask: int):
     return out
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(Value, compare=("ground_size", "members")):
     """An immutable, canonicalized finite set system."""
 
     ground_size: int
     members: tuple  # tuple of int bit masks, distinct, sorted as bit strings
-    had_duplicates: bool = field(default=False, compare=False)
+    had_duplicates: bool  # shown by repr, left out of == and hash
+
+    def __init__(self, ground_size, members, had_duplicates=False):
+        d = self.__dict__
+        d["ground_size"] = ground_size
+        d["members"] = members
+        d["had_duplicates"] = had_duplicates
 
     @classmethod
     def from_masks(cls, ground_size: int, masks) -> "SetSystem":
@@ -746,16 +751,18 @@ def helly_number(system: SetSystem, cap: int = 20) -> int:
     return max(1, best)
 
 
-@dataclass(frozen=True)
-class TracePattern:
+class TracePattern(Value):
     kind: str  # chain | star | costar
     size: int
 
-    def __post_init__(self):
-        if self.kind not in ("chain", "star", "costar"):
-            raise RangeError(f"unknown pattern kind {self.kind!r}")
-        if self.size < 2:
+    def __init__(self, kind, size):
+        if kind not in ("chain", "star", "costar"):
+            raise RangeError(f"unknown pattern kind {kind!r}")
+        if size < 2:
             raise RangeError("pattern size must be >= 2")
+        d = self.__dict__
+        d["kind"] = kind
+        d["size"] = size
 
 
 class TraceWitness(NamedTuple):

@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PreconditionError, RangeError, ShapeError
 from .setsystem import SetSystem, json_field, mask_from_indices
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Value):
     center: str
     radius: int
+
+    def __init__(self, center, radius):
+        d = self.__dict__
+        d["center"] = center
+        d["radius"] = radius
 
     @classmethod
     def from_json(cls, data) -> "Ball":
@@ -38,11 +42,16 @@ class Ball:
         return self.center[: self.radius]
 
 
-@dataclass(frozen=True)
-class UltrametricSpace:
+class UltrametricSpace(Value):
     p: int
     depth: int
     elements: tuple  # sorted digit strings of length depth
+
+    def __init__(self, p, depth, elements):
+        d = self.__dict__
+        d["p"] = p
+        d["depth"] = depth
+        d["elements"] = elements
 
     @classmethod
     def full(cls, p: int, depth: int) -> "UltrametricSpace":

@@ -5,12 +5,10 @@ inequalities on fixed or seeded instances and reports per-case results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import generators as gens
 from . import ultrametric as um
-from .estimator import ShatterProfile, classify_growth
 from .instances import random_relation, random_system
 from .relations import (
     BiRelation,
@@ -39,15 +37,22 @@ from .setsystem import (
     trace_count,
     vc_dimension,
 )
+from .value import Record
 
 
-@dataclass
-class VerificationCase:
+class VerificationCase(Record):
     name: str
     description: str
     expected: str
     observed: str
     status: str  # pass | fail | skipped
+
+    def __init__(self, name, description, expected, observed, status):
+        self.name = name
+        self.description = description
+        self.expected = expected
+        self.observed = observed
+        self.status = status
 
     @classmethod
     def check(cls, name, description, expected_desc, observed, ok):

@@ -398,3 +398,19 @@ def test_gen_without_a_needed_option_is_a_usage_error(
     rest = [a for k, v in options.items() if k != missing for a in (f"--{k}", v)]
     assert main(argv + rest) == 2
     assert f"--{missing}" in capsys.readouterr().err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Compares the modules loaded before and after the import, so a site
+    hook that loaded either module beforehand does not count."""
+    code = (
+        "import sys; before = set(sys.modules); import vclab.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    added = run.stdout.split()
+    assert "vclab.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
