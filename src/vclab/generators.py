@@ -241,16 +241,6 @@ def gen_hypercube_edges(d: int, cap: int = 10):
     return edges, SetSystem.from_masks(nv, masks)
 
 
-def max_induced_edges(edges, n_vertices: int, t: int) -> int:
-    """Brute-force maximum number of edges induced on any t vertices."""
-    best = 0
-    for combo in itertools.combinations(range(n_vertices), t):
-        vs = set(combo)
-        count = sum(1 for v, w in edges if v in vs and w in vs)
-        best = max(best, count)
-    return best
-
-
 def phi_hat(rel: BiRelation) -> SetSystem:
     """For a square relation, the family {{a, b} : (a, b) in Phi} of
     at-most-2-element subsets of X."""

@@ -39,9 +39,11 @@ of pi or pi* over a t-range sets up once.
 With it ``max_traces`` keeps the one fact its counts prove about the VC
 dimension d of a single family (one bit of spread): a count below 2^t
 gives d <= t - 1, and later walks on that input stop at the Sauer-Shelah
-bound.  At its last element a walk also skips a frame whose blocks
-cannot beat the best count, a block of one member giving one trace.
-Both caps bound the count, so no value changes.
+bound.  A walk bounds each frame before it pushes it, and with one
+element left also skips a frame whose blocks cannot beat the best count,
+a block of one member giving one trace; at the last element each leaf
+stops at the first block that leaves it unable to beat the best count.
+These caps and bounds bound the count, so no value changes.
 """
 
 from __future__ import annotations
@@ -289,19 +291,23 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
     The distinct masks are partitioned by their trace on A, each block a
     bitset over the masks; adding an element to A splits every block by
     the element's columns (one per bit of spread).  A depth-first walk
-    over the t-subsets in lexicographic order carries the partition down,
-    and at the last element only counts the blocks that split.  A subtree
-    is skipped when its blocks times 2^(elements left * bits of spread)
-    cannot beat the best count, and the walk stops at the most there can
-    be: the number of distinct masks, or 2^(t * bits of spread).
+    over the t-subsets in lexicographic order carries the partition down.
+    A frame is pushed only when its blocks times 2^(elements left * bits
+    of spread) can beat the best count, tested once as its parent makes
+    it, and the walk stops at the most there can be: the number of
+    distinct masks, or 2^(t * bits of spread).  At the last element a
+    leaf gives one trace per block and one more per block that splits, so
+    it can beat the best count by at most 2 * blocks - best; each block
+    left whole takes one from that room, and the leaf stops when none is
+    left.
 
     Two more caps are exact.  A block of one member cannot split, so with
     one element left a frame of k blocks, ``lone`` of them of one member,
-    gives at most k * 2^bits - lone * (2^bits - 1) traces, and is skipped
-    when that cannot beat the best count.  With one bit of spread the
-    walk also stops at the Sauer-Shelah bound sum_{i <= d} C(t, i), for d
-    an upper bound on the VC dimension of the masks (Sauer 1972; Shelah
-    1972).  Nothing computes d: a finished walk whose count is below 2^t
+    gives at most k * 2^bits - lone * (2^bits - 1) traces, and is not
+    pushed when that cannot beat the best count.  With one bit of spread
+    the walk also stops at the Sauer-Shelah bound sum_{i <= d} C(t, i),
+    for d an upper bound on the VC dimension of the masks (Sauer 1972;
+    Shelah 1972).  Nothing computes d: a finished walk whose count is below 2^t
     proves that no t-set is shattered, so d <= t - 1, and the memo of the
     set-up keeps the least such bound for later calls on the same input.
     A profile over increasing t is so capped from its first count below
@@ -334,39 +340,52 @@ def max_traces(masks, n: int, t: int, budget=None, spread: int = 1) -> int:
     if d < t and math.comb(t + 1, d) < cap:
         cap = min(cap, sauer_shelah_bound(t, d))
     best = 0
-    # frames (partition by the chosen elements, next element to try); a
-    # frame with k elements chosen has k frames below it on the stack
-    stack = [([(1 << distinct) - 1], 0)]
+    # frames (partition by the chosen elements, next element to try,
+    # elements still to choose, x included); a frame is pushed only when
+    # it can beat the best count, and x <= n - left
+    stack = [([(1 << distinct) - 1], 0, t)] if t <= n else []
     while stack:
-        blocks, x = stack.pop()
-        left = t - len(stack)  # elements still to choose, x included
-        if x > n - left or len(blocks) << left * bits <= best:
-            continue
+        blocks, x, left = stack.pop()
         if left > 1:
-            stack.append((blocks, x + 1))
+            if x < n - left:  # the frame that skips x
+                stack.append((blocks, x + 1, left))
             init, last = cols[x]
             for col in init:
                 blocks = _refine(blocks, col)
-            stack.append((_refine(blocks, last), x + 1))
-            continue
-        # a block of one member cannot split, so it gives one trace, not
-        # 2^bits.  The bound is at least len(blocks), so it can prune only
-        # when that is at most best; with one leaf left, counting the
-        # blocks costs about what the leaf it could skip costs
-        if len(blocks) <= best and x < n - 1:
-            lone = list(map(int.bit_count, blocks)).count(1)
-            if (len(blocks) << bits) - lone * ((1 << bits) - 1) <= best:
+            blocks = _refine(blocks, last)
+            left -= 1
+            k = len(blocks)
+            if k << left * bits <= best:
                 continue
+            # a block of one member cannot split, so at the last element it
+            # gives one trace, not 2^bits.  The bound is at least k, so it
+            # can prune only when k is at most best; with one leaf left,
+            # counting the blocks costs about what the leaf it could skip
+            # costs
+            if left == 1 and k <= best and x < n - 2:
+                lone = list(map(int.bit_count, blocks)).count(1)
+                if (k << bits) - lone * ((1 << bits) - 1) <= best:
+                    continue
+            stack.append((blocks, x + 1, left))
+            continue
+        # at the last element a leaf gives one trace per block and one more
+        # per block that splits on its last column; room is what it can
+        # still gain over the best count, and each block left whole costs
+        # one, so the leaf stops once room is spent
         for init, last in cols[x:]:
             leaf = blocks
             for col in init:
                 leaf = _refine(leaf, col)
-            count = len(leaf)
+            room = 2 * len(leaf) - best
+            if room <= 0:
+                continue
             for b in leaf:
-                if 0 != b & last != b:
-                    count += 1
-            if count > best:
-                best = count
+                if not 0 != b & last != b:
+                    room -= 1
+                    if not room:
+                        break
+            else:
+                best += room
                 if best == cap:  # no count can beat it: end the walk
                     stack.clear()
                     break
@@ -639,25 +658,28 @@ def _ladder_moves(a, u, within):
             yield a | low, u | col, inner, (low.bit_length() - 1, j)
 
 
-def _ladder_search(cols, cap, budget) -> tuple:
+def _ladder_search(cols, cap, budget, best=0) -> tuple:
     """The largest k, at most ``cap``, with elements a_1..a_k and columns
     (element bitsets) c_1..c_k such that a_i is in c_j iff i <= j, and
     the ladder as (a_i, index of c_i) pairs for the last improvement, or
-    None.  A move adds an element a outside U, the union of the chosen
-    columns (a misses them all), and a column holding A, the chosen
-    elements, and a; no chosen column holds a, so (A, U) is the whole
-    state and a seen state is skipped.  Moves go depth first, elements
-    then columns in increasing order, first of each distinct column only;
-    a frame is pruned when |A| plus the most elements outside U of a
-    column holding A is at most the best.  A budget unit is one move,
-    charged before the seen check; BudgetExceededError carries the best.
+    None.  Given a ``best`` to beat, only longer ladders are sought, and
+    when there is none that ``best`` comes back with None.  A move adds an
+    element a outside U, the union of the chosen columns (a misses them
+    all), and a column holding A, the chosen elements, and a; no chosen
+    column holds a, so (A, U) is the whole state and a seen state is
+    skipped.  Moves go depth first, elements then columns in increasing
+    order, first of each distinct column only; a frame is pruned when |A|
+    plus the most elements outside U of a column holding A is at most the
+    best.  A budget unit is one move, charged before the seen check;
+    BudgetExceededError carries the best, which bounds the answer only if
+    the ``best`` given does.
     """
     budget = resolve_budget(budget)
     first = {}
     for j, col in enumerate(cols):
         if col:
             first.setdefault(col, j)
-    best, found = 0, None
+    found = None
     work = 0
     seen = set()
     # frames (bound on the size, ladder so far, move generator)
@@ -783,7 +805,8 @@ def contains_trace(system: SetSystem, pattern: TracePattern, budget=None):
     budget unit per extension tested, and the witness is the first base in
     lexicographic order.  A k-chain is a base a_1..a_k, in some order,
     whose prefixes {a_1..a_j} are all traces: a k-ladder of the membership
-    relation, found by ``_ladder_search`` over the members, capped at k,
+    relation, found by ``_ladder_search`` over the members from a best of
+    k - 1, so that it prunes every frame that cannot reach k, capped at k,
     one budget unit per move tested; the witness is the first ladder in
     search order, as the sorted base and its prefixes' members, in order.
     """
@@ -794,7 +817,7 @@ def contains_trace(system: SetSystem, pattern: TracePattern, budget=None):
         return None
     try:
         if pattern.kind == "chain":
-            best, found = _ladder_search(system.members, k, budget)
+            best, found = _ladder_search(system.members, k, budget, k - 1)
         else:
             full = (1 << len(system.members)) - 1
             cols = transpose(system.members, n)

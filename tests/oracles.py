@@ -4,7 +4,8 @@ number, the shatter function, the number of shattered sets and the
 chain, star and costar trace patterns, for ground sets of at most 6
 elements, of ladder dimension, the dual shatter function and type counts
 for small relations, of the interval families by a scan of all 2^n
-subsets, and of half-plane traces in ``Fraction`` arithmetic.
+subsets, of half-plane traces in ``Fraction`` arithmetic, and of the most
+edges a graph induces on t vertices.
 
 Each follows the definition directly and shares no code with the searches
 in ``vclab``, so that the fast paths can be diffed against them.
@@ -154,6 +155,15 @@ def pi_oracle(system, t):
         len(_traces(system, a))
         for a in itertools.combinations(range(system.ground_size), t)
     )
+
+
+def max_induced_edges(edges, n_vertices, t):
+    """The most edges induced on any t of the vertices 0..n_vertices-1."""
+    best = 0
+    for combo in itertools.combinations(range(n_vertices), t):
+        vs = set(combo)
+        best = max(best, sum(1 for v, w in edges if v in vs and w in vs))
+    return best
 
 
 def types_oracle(delta, params):

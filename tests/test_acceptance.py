@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import max_induced_edges
 
 from vclab import (
     BiRelation,
@@ -39,7 +40,6 @@ from vclab import (
     vc_dimension,
 )
 from vclab.estimator import ShatterProfile
-from vclab.generators import max_induced_edges
 from vclab.instances import random_relation, random_system
 from vclab.relations import shatter_relation
 from vclab.rooted import (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import halfspaces_oracle, intervals_oracle
+from oracles import halfspaces_oracle, intervals_oracle, max_induced_edges
 from vclab import (
     BiRelation,
     BudgetExceededError,
@@ -29,7 +29,6 @@ from vclab import (
     phi_hat_sandwich,
     vc_dimension,
 )
-from vclab.generators import max_induced_edges
 
 
 def parabola(n):

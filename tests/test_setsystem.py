@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from oracles import chain_oracle
 
 from vclab import (
     BudgetExceededError,
@@ -389,9 +390,13 @@ def test_contains_trace_star_and_costar():
 
 def test_contains_trace_with_zero_budget_is_inconclusive():
     costar = SetSystem.from_masks(4, [0b1111 & ~(1 << i) for i in range(4)])
-    for kind in ("chain", "star", "costar"):
+    for kind in ("star", "costar"):
         with pytest.raises(InconclusiveError):
             contains_trace(costar, TracePattern(kind, 4), budget=0)
+    # the chain search starts from a best of k - 1 = 3, and no member has
+    # more than 3 elements, so it rules the 4-chain out before any move
+    assert chain_oracle(costar, 4) is None
+    assert contains_trace(costar, TracePattern("chain", 4), budget=0) is None
 
 
 def test_contains_trace_with_zero_budget_rules_out_too_few_members_or_columns():
